@@ -1,21 +1,15 @@
-//! `scaling` — one scheduling decision vs platform size `p ∈ {20, …, 10⁶}`
-//! × intra-decision threads.
+//! `scaling` — one scheduling decision vs platform size `p ∈ {20, …, 10⁶}`.
 //!
 //! The tentpole claim of the scaling layer is that a massive-preset
 //! scheduling decision stays tractable at up to `p = 10⁶` workers: the
 //! indexed candidate scan makes the per-decision evaluation count
 //! `O(classes · m_tasks²)` — independent of `p` once the platform's
 //! equivalence classes saturate — while the only `p`-proportional work left
-//! is the single `O(p)` index-build pass. On top of that shape, the
-//! intra-decision scoped pool (`EvalCache::set_decision_threads`) splits
-//! each greedy round's probe list across threads with a deterministic
-//! chunk-order reduction, so the decision parallelizes **without changing a
-//! single byte of its answer**. This bench pins both claims: for each size
-//! it builds a massive-model scenario and, for each thread count, runs one
-//! `IE` decision under the forced indexed scan, counts group-quantity
-//! lookups through the shared [`EvalCache`], asserts the count stays under
-//! an `O(p log p)` envelope, and asserts the multi-threaded winner and
-//! eval count are **identical** to the single-threaded ones.
+//! is the single `O(p)` index-build pass. This bench pins the claim: for
+//! each size it builds a massive-model scenario, runs one `IE` decision
+//! under the forced indexed scan, counts group-quantity lookups through the
+//! shared [`EvalCache`], and asserts the count stays under an `O(p log p)`
+//! envelope.
 //!
 //! The record separates the `O(p)` index build from the scan proper
 //! (`index_build_micros` vs `scan_micros`) and counts both the joint-series
@@ -38,17 +32,12 @@
 //! harness: it writes its measurements to `BENCH_scaling.json` at the
 //! workspace root — a machine-readable trajectory point meant to be
 //! committed, so future optimisation PRs diff against it. Each point also
-//! records `decision_threads` and `host_cpus`, so a diff across machines is
-//! attributable too.
+//! records `host_cpus`, so a diff across machines is attributable too.
 //!
 //! Environment:
 //! * `DG_SCALING_MAX_M` caps the largest platform size (CI smoke runs use
 //!   `2000` to stay inside the time budget; the committed JSON comes from a
 //!   full run).
-//! * `DG_SCALING_THREADS` replaces the per-size thread sweep with an
-//!   explicit comma-separated list (CI runs the smoke once with `1` and
-//!   once with `2` and diffs the `scaling-winner:` lines, which must be
-//!   byte-identical).
 
 use std::time::Instant;
 
@@ -64,14 +53,6 @@ use dg_sim::Assignment;
 /// Platform sizes swept, smallest first (paper scale up to the colossal
 /// preset's 10⁶ workers).
 const SIZES: [usize; 6] = [20, 200, 2_000, 20_000, 200_000, 1_000_000];
-
-/// Intra-decision thread counts swept at and above
-/// [`PARALLEL_MIN_WORKERS`]; below it only the serial point is measured
-/// (the probe lists are too short for the pool to engage).
-const THREADS: [usize; 3] = [1, 4, 8];
-
-/// Smallest platform size whose points sweep the full [`THREADS`] list.
-const PARALLEL_MIN_WORKERS: usize = 20_000;
 
 /// Scenario-generation seed (the paper campaign's base seed).
 const SEED: u64 = 20_130_520;
@@ -92,11 +73,10 @@ const WMIN: u64 = 1;
 const BOUND_OFFSET: f64 = 400_000.0;
 const BOUND_FACTOR: f64 = 5.0;
 
-/// One measured (platform size, decision threads) point.
+/// One measured platform size.
 struct Point {
     workers: usize,
     classes: usize,
-    decision_threads: usize,
     host_cpus: usize,
     evals: u64,
     group_misses: u64,
@@ -128,7 +108,7 @@ fn massive_model() -> ScenarioModel {
 }
 
 /// Render an assignment as the same `[[worker,tasks],…]` array the service
-/// protocol uses — the `scaling-winner:` line CI diffs across thread counts.
+/// protocol uses, for the `scaling-winner:` line.
 fn render_assignment(assignment: &Assignment) -> String {
     let entries: Vec<String> =
         assignment.entries().iter().map(|(q, x)| format!("[{q},{x}]")).collect();
@@ -136,11 +116,8 @@ fn render_assignment(assignment: &Assignment) -> String {
 }
 
 /// Measure one `IE` decision on an all-`UP` massive-model platform of `p`
-/// workers under the forced indexed scan, once per requested thread count.
-/// The serial (1-thread) run is the reference: every other run must choose
-/// the same assignment with the same evaluation count, or the deterministic
-/// reduction is broken and the bench panics.
-fn measure(p: usize, threads: &[usize]) -> Vec<Point> {
+/// workers under the forced indexed scan.
+fn measure(p: usize) -> Point {
     let params = ScenarioParams {
         num_workers: p,
         tasks_per_iteration: TASKS,
@@ -163,71 +140,47 @@ fn measure(p: usize, threads: &[usize]) -> Vec<Point> {
         master: &scenario.master,
         current: None,
     };
-    let cpus = host_cpus();
 
-    let mut points = Vec::with_capacity(threads.len());
-    let mut reference: Option<(Assignment, u64)> = None;
-    for &t in threads {
-        // The standalone index build is re-timed per thread point so the
-        // record attributes the O(p) pass at the same cache state each run;
-        // the decision below rebuilds it internally, so `scan_micros` is the
-        // decision's wall clock net of one build.
-        let build_start = Instant::now();
-        let classes = WorkerIndex::build(&view).num_classes();
-        let index_build_micros = build_start.elapsed().as_micros();
+    // The standalone index build attributes the O(p) pass; the decision
+    // below rebuilds it internally, so `scan_micros` is the decision's wall
+    // clock net of one build.
+    let build_start = Instant::now();
+    let classes = WorkerIndex::build(&view).num_classes();
+    let index_build_micros = build_start.elapsed().as_micros();
 
-        let mut cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
-        cache.set_decision_threads(t);
-        let mut context = SchedulingContext::with_cache(cache.clone());
-        context.set_scan_strategy(ScanStrategy::Indexed);
+    let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
+    let mut context = SchedulingContext::with_cache(cache.clone());
+    context.set_scan_strategy(ScanStrategy::Indexed);
 
-        let start = Instant::now();
-        let assignment = build_incremental(&mut context, &view, PassiveKind::IE)
-            .expect("an all-UP platform can hold the massive workload");
-        let decision_micros = start.elapsed().as_micros();
-        assert_eq!(assignment.total_tasks(), TASKS, "p = {p}: decision must place every task");
+    let start = Instant::now();
+    let assignment = build_incremental(&mut context, &view, PassiveKind::IE)
+        .expect("an all-UP platform can hold the massive workload");
+    let decision_micros = start.elapsed().as_micros();
+    assert_eq!(assignment.total_tasks(), TASKS, "p = {p}: decision must place every task");
 
-        let stats = cache.stats();
-        let evals = stats.group_hits + stats.group_misses;
-        let bound = eval_bound(p);
-        assert!(
-            (evals as f64) <= bound,
-            "p = {p}, threads = {t}: {evals} group lookups exceed the O(p log p) envelope \
-             {bound:.0} — the indexed scan has degraded toward the exhaustive rescan"
-        );
-        match &reference {
-            None => reference = Some((assignment.clone(), evals)),
-            Some((serial_assignment, serial_evals)) => {
-                assert_eq!(
-                    &assignment, serial_assignment,
-                    "p = {p}, threads = {t}: parallel winner differs from the serial scan"
-                );
-                assert_eq!(
-                    evals, *serial_evals,
-                    "p = {p}, threads = {t}: parallel evaluation count differs from serial"
-                );
-            }
-        }
+    let stats = cache.stats();
+    let evals = stats.group_hits + stats.group_misses;
+    let bound = eval_bound(p);
+    assert!(
+        (evals as f64) <= bound,
+        "p = {p}: {evals} group lookups exceed the O(p log p) envelope {bound:.0} — the \
+         indexed scan has degraded toward the exhaustive rescan"
+    );
+    println!("scaling-winner: p = {p} assignment = {}", render_assignment(&assignment));
 
-        points.push(Point {
-            workers: p,
-            classes,
-            decision_threads: t,
-            host_cpus: cpus,
-            evals,
-            group_misses: stats.group_misses,
-            series_terms: cache.series_terms(),
-            accumulators_built: cache.accumulators_built(),
-            index_build_micros,
-            scan_micros: decision_micros.saturating_sub(index_build_micros),
-            decision_micros,
-            bound_evals: bound as u64,
-        });
+    Point {
+        workers: p,
+        classes,
+        host_cpus: host_cpus(),
+        evals,
+        group_misses: stats.group_misses,
+        series_terms: cache.series_terms(),
+        accumulators_built: cache.accumulators_built(),
+        index_build_micros,
+        scan_micros: decision_micros.saturating_sub(index_build_micros),
+        decision_micros,
+        bound_evals: bound as u64,
     }
-
-    let (winner, _) = reference.expect("at least one thread count per size");
-    println!("scaling-winner: p = {p} assignment = {}", render_assignment(&winner));
-    points
 }
 
 /// Hand-rolled JSON (the workspace vendors a no-op `serde` shim, so
@@ -250,13 +203,12 @@ fn render_json(points: &[Point]) -> String {
     out.push_str("  \"points\": [\n");
     for (i, pt) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workers\": {}, \"classes\": {}, \"decision_threads\": {}, \
+            "    {{\"workers\": {}, \"classes\": {}, \
              \"host_cpus\": {}, \"evals\": {}, \"group_misses\": {}, \"series_terms\": {}, \
              \"accumulators_built\": {}, \"index_build_micros\": {}, \"scan_micros\": {}, \
              \"decision_micros\": {}, \"bound_evals\": {}}}{}\n",
             pt.workers,
             pt.classes,
-            pt.decision_threads,
             pt.host_cpus,
             pt.evals,
             pt.group_misses,
@@ -279,34 +231,22 @@ fn main() {
         .ok()
         .map(|v| v.parse().expect("DG_SCALING_MAX_M must be an integer"))
         .unwrap_or(usize::MAX);
-    let forced_threads: Option<Vec<usize>> = std::env::var("DG_SCALING_THREADS").ok().map(|v| {
-        v.split(',')
-            .map(|t| t.trim().parse().expect("DG_SCALING_THREADS must be a comma-separated list"))
-            .collect()
-    });
 
     let mut points = Vec::new();
     for &p in SIZES.iter().filter(|&&p| p <= max_m) {
-        let threads: Vec<usize> = match &forced_threads {
-            Some(list) => list.clone(),
-            None if p >= PARALLEL_MIN_WORKERS => THREADS.to_vec(),
-            None => vec![1],
-        };
-        for pt in measure(p, &threads) {
-            println!(
-                "scaling: p = {:>7}  threads = {}  classes = {:>4}  evals = {:>9}  \
-                 bound = {:>9}  build = {:>8} µs  scan = {:>9} µs  decision = {} µs",
-                pt.workers,
-                pt.decision_threads,
-                pt.classes,
-                pt.evals,
-                pt.bound_evals,
-                pt.index_build_micros,
-                pt.scan_micros,
-                pt.decision_micros
-            );
-            points.push(pt);
-        }
+        let pt = measure(p);
+        println!(
+            "scaling: p = {:>7}  classes = {:>4}  evals = {:>9}  bound = {:>9}  \
+             build = {:>8} µs  scan = {:>9} µs  decision = {} µs",
+            pt.workers,
+            pt.classes,
+            pt.evals,
+            pt.bound_evals,
+            pt.index_build_micros,
+            pt.scan_micros,
+            pt.decision_micros
+        );
+        points.push(pt);
     }
     assert!(!points.is_empty(), "DG_SCALING_MAX_M filtered out every platform size");
 

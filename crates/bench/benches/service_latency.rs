@@ -74,15 +74,6 @@ fn measure(heuristic: &'static str, warm_iters: usize) -> Row {
     }
 }
 
-/// One warm `op:batch` measurement at a fixed intra-decision thread count.
-struct BatchPoint {
-    decision_threads: usize,
-    latency_us: u64,
-    /// The per-member `"id":N,…,"assignment":…` fragments, for the
-    /// serial-vs-parallel identity assert.
-    assignments: Vec<String>,
-}
-
 /// Extract the batch-level `latency_us` (the last one on the line — member
 /// replies carry their own) from a rendered batch reply.
 fn batch_latency(reply: &str) -> u64 {
@@ -90,22 +81,12 @@ fn batch_latency(reply: &str) -> u64 {
     reply[at..].chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
 }
 
-/// Extract member `id`'s assignment value from a rendered batch reply.
-fn member_assignment(reply: &str, id: usize) -> String {
-    let member = reply.find(&format!("\"id\":{id},")).expect("member reply present");
-    let rest = &reply[member..];
-    let at = rest.find("\"assignment\":").unwrap() + 13;
-    rest[at..at + rest[at..].find(",\"latency_us\"").unwrap()].to_string()
-}
-
-/// Answer the same `group`-member batch twice on one warm core configured
-/// for `decision_threads` — the first pass pays the cold misses, the second
-/// is the measured warm batch (entirely cache hits, like the per-request
-/// warm path above).
-fn measure_batch(decision_threads: usize, group: usize) -> BatchPoint {
-    let mut core = bench_core();
-    core.cache.set_decision_threads(decision_threads);
-    let mut service = ScheduleService::new(Arc::new(core));
+/// Answer the same `group`-member batch twice on one core — the first pass
+/// pays the cold misses, the second is the measured warm batch (entirely
+/// cache hits, like the per-request warm path above) — and return the warm
+/// batch latency.
+fn measure_batch(group: usize) -> u64 {
+    let mut service = ScheduleService::new(Arc::new(bench_core()));
     let heuristics = ["IE", "IAY", "P-IE", "E-IE", "Y-IE", "Y-IAY"];
     let entries: Vec<String> = (0..group)
         .map(|i| {
@@ -117,20 +98,12 @@ fn measure_batch(decision_threads: usize, group: usize) -> BatchPoint {
     let line = format!("{{\"batch\":[{}]}}", entries.join(","));
     let _cold = service.handle_line(&line);
     let reply = service.handle_line(&line).pop().expect("a batch answers as one line");
-    assert!(
-        reply.ends_with(&format!("\"decision_threads\":{decision_threads}}}")),
-        "batch reply must report its thread count: {reply}"
-    );
-    BatchPoint {
-        decision_threads,
-        latency_us: batch_latency(&reply),
-        assignments: (0..group).map(|id| member_assignment(&reply, id)).collect(),
-    }
+    batch_latency(&reply)
 }
 
 /// Hand-rolled JSON (the workspace vendors a no-op `serde` shim); heuristic
 /// names are fixed ASCII literals, hence no escaping is needed.
-fn render_json(warm_iters: usize, rows: &[Row], batch: &[BatchPoint], group: usize) -> String {
+fn render_json(warm_iters: usize, rows: &[Row], batch_us: u64, group: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"service_latency\",\n");
@@ -150,16 +123,7 @@ fn render_json(warm_iters: usize, rows: &[Row], batch: &[BatchPoint], group: usi
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!("  \"batch\": {{\"requests\": {group}, \"points\": [\n"));
-    for (i, pt) in batch.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"decision_threads\": {}, \"latency_us\": {}}}{}\n",
-            pt.decision_threads,
-            pt.latency_us,
-            if i + 1 < batch.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]}\n");
+    out.push_str(&format!("  \"batch\": {{\"requests\": {group}, \"latency_us\": {batch_us}}}\n"));
     out.push_str("}\n");
     out
 }
@@ -183,28 +147,13 @@ fn main() {
         rows.push(row);
     }
 
-    // The parallel-batch point: the same warm 12-request batch answered
-    // serially and through a 4-thread fan-out. The members' assignments must
-    // be byte-identical — the fan-out only re-orders who computes, never
-    // what is computed.
+    // One warm 12-request op:batch line.
     let group = 12;
-    let batch: Vec<BatchPoint> = [1usize, 4].iter().map(|&t| measure_batch(t, group)).collect();
-    for pair in batch.windows(2) {
-        assert_eq!(
-            pair[0].assignments, pair[1].assignments,
-            "batch assignments diverged between {} and {} decision threads",
-            pair[0].decision_threads, pair[1].decision_threads
-        );
-    }
-    for pt in &batch {
-        println!(
-            "service: batch of {group} at {} decision thread(s) = {:>6} us",
-            pt.decision_threads, pt.latency_us
-        );
-    }
+    let batch_us = measure_batch(group);
+    println!("service: batch of {group} = {batch_us:>6} us");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    let json = render_json(warm_iters, &rows, &batch, group);
+    let json = render_json(warm_iters, &rows, batch_us, group);
     std::fs::write(path, json).expect("write BENCH_service.json");
     println!("service: wrote {} row(s) to {path}", rows.len());
 }

@@ -17,10 +17,8 @@
 //! --heuristics L   comma-separated heuristic names to run
 //!                  (paper names, e.g. IE,IAY,Y-IE)           [default: the binary's list]
 //! --threads N      worker threads, 0 = auto-detect           [default 1]
-//! --decision-threads N  scoped threads inside each scheduling
-//!                  decision (candidate scan + series fill),
-//!                  byte-identical on every value;
-//!                  0 = auto-detect                            [default 1]
+//! --decision-threads N  accepted for compatibility; has no
+//!                  effect (decisions are serial)
 //! --seed N         master seed                               [default 20130520]
 //! --engine MODE    simulation engine: event | slot           [default event]
 //! --out DIR        write manifest + JSONL shards to DIR as
@@ -68,11 +66,8 @@ pub struct CliOptions {
     pub heuristics: Option<Vec<HeuristicSpec>>,
     /// Worker threads (`--threads 0` = auto-detect available parallelism).
     pub threads: usize,
-    /// Scoped threads inside each scheduling decision
-    /// (`--decision-threads 0` = auto-detect). Orthogonal to `threads`
-    /// (which parallelizes *across* jobs): this parallelizes the candidate
-    /// scan and series evaluation *within* one decision, with byte-identical
-    /// results.
+    /// The `--decision-threads` value. Parsed and validated for
+    /// compatibility, but it has no effect: every decision is serial.
     pub decision_threads: usize,
     /// Master seed.
     pub seed: u64,
@@ -277,8 +272,7 @@ impl CliOptions {
     /// figure code consumes retained results — plus `--out`/`--resume` and
     /// the `--worker-shard` point-range restriction).
     pub fn executor(&self) -> ExecutorOptions {
-        let mut options =
-            ExecutorOptions::new().retain_raw(true).decision_threads(self.decision_threads);
+        let mut options = ExecutorOptions::new().retain_raw(true);
         if let Some(dir) = &self.out {
             options = options.store(dir.clone(), self.resume);
         }
@@ -305,8 +299,9 @@ impl CliOptions {
     /// child `index` of `total`: every result-determining flag of this
     /// invocation, plus `--worker-shard index/total` and a forced `--quiet`
     /// (N children interleaving progress lines is unreadable). Excludes
-    /// `--spawn-workers` (the child is a worker, not a coordinator) and
-    /// `--full` (already expanded into scenarios/trials/cap at parse time).
+    /// `--spawn-workers` (the child is a worker, not a coordinator),
+    /// `--full` (already expanded into scenarios/trials/cap at parse time)
+    /// and the no-op `--decision-threads`.
     /// `--threads` carries the child's [`CliOptions::worker_threads`] share of
     /// the resolved budget — never a literal `0` — so parsing the result
     /// round-trips to these options with the shard and the child's thread
@@ -317,7 +312,6 @@ impl CliOptions {
             ("--trials", self.trials.to_string()),
             ("--cap", self.max_slots.to_string()),
             ("--threads", self.worker_threads(index, total).to_string()),
-            ("--decision-threads", self.decision_threads.to_string()),
             ("--seed", self.seed.to_string()),
             ("--engine", self.engine.to_string()),
         ]
@@ -392,7 +386,7 @@ fn help_text() -> String {
     "usage: <binary> [--scenarios N] [--trials N] [--cap N] \
      [--suite paper|volatile|largegrid|commbound|massive|colossal|FILE] [--workers N] \
      [--ncom a,b,c] [--wmin a,b,c] [--heuristics NAME[,NAME...]] \
-     [--threads N (0 = auto)] [--decision-threads N (0 = auto)] [--seed N] \
+     [--threads N (0 = auto)] [--seed N] \
      [--engine slot|event] [--out DIR] \
      [--resume] [--worker-shard I/N] [--spawn-workers N] [--full] [--quiet]"
         .to_string()
@@ -723,6 +717,18 @@ mod tests {
             combined += share;
         }
         assert!(combined <= budget.max(4), "{combined} threads exceed the {budget}-thread budget");
+    }
+
+    #[test]
+    fn decision_threads_flag_still_parses_and_validates_its_number() {
+        assert_eq!(CliOptions::parse(["--decision-threads", "4"]).unwrap().decision_threads, 4);
+        assert!(CliOptions::parse(["--decision-threads", "x"]).is_err());
+        assert!(CliOptions::parse(["--decision-threads"]).is_err());
+        // It changes nothing downstream: workers are not even told about it.
+        let opts =
+            CliOptions::parse(["--decision-threads", "4", "--spawn-workers", "2", "--out", "d"])
+                .unwrap();
+        assert!(!opts.worker_args(1, 2).contains(&"--decision-threads".to_string()));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::sync::mpsc;
 pub const DEFAULT_REFERENCE: &str = "IE";
 
 /// Execution options orthogonal to the campaign configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutorOptions {
     /// Retain the raw `Vec<InstanceResult>` in [`CampaignOutcome::results`].
     /// Off by default: streaming campaigns keep only the accumulator cells
@@ -70,25 +70,6 @@ pub struct ExecutorOptions {
     /// [`ExecutorOptions::out`]; the store is opened in worker mode (never
     /// cleared, never claimed).
     pub part: Option<WorkerShard>,
-    /// Scoped threads inside each scheduling decision (`0` = auto-detect,
-    /// resolved through [`resolve_threads`] when the per-scenario cache is
-    /// built). Orthogonal to the campaign's `threads`, which parallelizes
-    /// across jobs; decisions are byte-identical on every count, so this is
-    /// deliberately **not** part of [`config_fingerprint`].
-    pub decision_threads: usize,
-}
-
-impl Default for ExecutorOptions {
-    fn default() -> Self {
-        ExecutorOptions {
-            retain_raw: false,
-            out: None,
-            resume: false,
-            reference: None,
-            part: None,
-            decision_threads: 1,
-        }
-    }
 }
 
 impl ExecutorOptions {
@@ -113,12 +94,6 @@ impl ExecutorOptions {
     /// Restrict execution to one worker shard's point range.
     pub fn worker_shard(mut self, shard: WorkerShard) -> ExecutorOptions {
         self.part = Some(shard);
-        self
-    }
-
-    /// Set the intra-decision thread count (`0` = auto-detect).
-    pub fn decision_threads(mut self, threads: usize) -> ExecutorOptions {
-        self.decision_threads = threads;
         self
     }
 }
@@ -397,11 +372,8 @@ where
             let seed = scenario_seed(config.base_seed, point_index, scenario_index);
             Scenario::generate_with(params, &config.model, seed)
         });
-        let eval_cache = scenario.as_ref().map(|s| {
-            let mut cache = EvalCache::new(&s.platform, &s.master, config.epsilon);
-            cache.set_decision_threads(resolve_threads(options.decision_threads));
-            cache
-        });
+        let eval_cache =
+            scenario.as_ref().map(|s| EvalCache::new(&s.platform, &s.master, config.epsilon));
         let mut block = Vec::with_capacity(per_scenario);
         let mut executed_in_job = 0usize;
         for trial_index in 0..trials {

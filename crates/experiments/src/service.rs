@@ -55,7 +55,7 @@
 //! killing the process).
 
 use crate::cli::CliOptions;
-use crate::executor::{resolve_threads, scenario_seed};
+use crate::executor::scenario_seed;
 use crate::runner::scheduler_seed;
 use dg_analysis::{EvalCache, EvalCacheStats};
 use dg_availability::{ProcState, StateTrace};
@@ -85,14 +85,20 @@ enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Deepest array/object nesting a request may use. The protocol itself
+/// nests five levels (a batch entry's `current` pairs); the limit keeps the
+/// recursive parser from overflowing its stack on hostile input.
+const MAX_NESTING: usize = 32;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -117,8 +123,18 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nesting deeper than {MAX_NESTING} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'n') => {
                 if self.bytes[self.pos..].starts_with(b"null") {
@@ -586,9 +602,7 @@ impl ServiceCore {
         let params = *config.points().first().expect("campaigns have at least one point");
         let seed = scenario_seed(config.base_seed, 0, 0);
         let scenario = Scenario::generate_with(params, &config.model, seed);
-        let mut core = ServiceCore::new(scenario, config.epsilon, config.base_seed);
-        core.cache.set_decision_threads(resolve_threads(opts.decision_threads));
-        Ok(core)
+        Ok(ServiceCore::new(scenario, config.epsilon, config.base_seed))
     }
 
     /// Answer one decision request. The heuristic is instantiated from the
@@ -597,22 +611,14 @@ impl ServiceCore {
     /// decision is returned with the request's decision latency and the
     /// cache hit/miss delta it incurred.
     pub fn decide(&self, req: &DecideRequest) -> Result<DecideReply, String> {
-        self.decide_with(req, &self.cache)
-    }
-
-    /// [`ServiceCore::decide`] through an explicit cache handle. Batch
-    /// fan-out passes serial ([`EvalCache::with_decision_threads`]) handles
-    /// over the same shared state here, so concurrent batch members don't
-    /// nest scoped pools inside scoped pools.
-    fn decide_with(&self, req: &DecideRequest, cache: &EvalCache) -> Result<DecideReply, String> {
         let spec = parse_heuristic_named(&req.heuristic)?;
         let seed = req
             .seed
             .unwrap_or_else(|| scheduler_seed(self.base_seed, self.scenario.seed, req.trial));
-        let mut scheduler = spec.build_with_cache(seed, cache);
+        let mut scheduler = spec.build_with_cache(seed, &self.cache);
         let mut ctx = self.context_of(req)?;
         ctx.normalize();
-        let before = cache.stats();
+        let before = self.cache.stats();
         let start = Instant::now();
         let decision = scheduler.decide(&ctx.view(
             &self.scenario.platform,
@@ -620,7 +626,7 @@ impl ServiceCore {
             &self.scenario.master,
         ));
         let latency_us = start.elapsed().as_micros() as u64;
-        let delta = cache.stats().since(&before);
+        let delta = self.cache.stats().since(&before);
         Ok(DecideReply {
             id: req.id,
             heuristic: spec.name(),
@@ -630,7 +636,6 @@ impl ServiceCore {
             },
             latency_us,
             cache: delta,
-            decision_threads: cache.decision_threads(),
         })
     }
 
@@ -717,12 +722,12 @@ pub struct DecideReply {
     pub latency_us: u64,
     /// Cache hits/misses this decision incurred on the shared cache.
     pub cache: EvalCacheStats,
-    /// Scoped threads the decision's candidate scans were allowed to use.
-    pub decision_threads: usize,
 }
 
 impl DecideReply {
-    /// Render the reply as one JSONL line.
+    /// Render the reply as one JSONL line. `"decision_threads"` is always
+    /// `1`: decisions are serial, and the field stays so the reply shape
+    /// does not change for existing clients.
     pub fn render(&self) -> String {
         let id = match self.id {
             Some(id) => id.to_string(),
@@ -735,12 +740,11 @@ impl DecideReply {
         format!(
             "{{\"id\":{id},\"ok\":true,\"op\":\"decide\",\"heuristic\":\"{}\",\
              \"decision\":\"{decision}\",\"assignment\":{assignment},\"latency_us\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"decision_threads\":{}}}",
+             \"cache_hits\":{},\"cache_misses\":{},\"decision_threads\":1}}",
             escape(&self.heuristic),
             self.latency_us,
             self.cache.group_hits,
             self.cache.group_misses,
-            self.decision_threads
         )
     }
 }
@@ -840,69 +844,34 @@ impl ScheduleService {
         }
     }
 
-    /// Answer a request group as one line: every member is answered against
-    /// the same warm cache (the group's members hit what the others compute),
-    /// with the group's total latency and cache delta alongside the
-    /// per-request replies. With `--decision-threads N > 1` the group fans
-    /// out across a scoped pool — each thread answers its requests through a
-    /// serial [`EvalCache::with_decision_threads`] handle over the shared
-    /// sharded state, and the replies are reassembled in request order.
+    /// Answer a request group as one line: every member is answered, in
+    /// order, against the same warm cache (the group's members hit what the
+    /// others compute), with the group's total latency and cache delta
+    /// alongside the per-request replies.
     fn handle_batch(&mut self, reqs: &[DecideRequest]) -> String {
         let before = self.core.cache.stats();
-        let threads = self.core.cache.decision_threads().min(reqs.len());
         let start = Instant::now();
-        let outcomes: Vec<Result<String, (Option<u64>, String)>> = if threads > 1 {
-            let core = &self.core;
-            let serial = core.cache.with_decision_threads(1);
-            let chunk = reqs.len().div_ceil(threads);
-            let chunked: Vec<Vec<_>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = reqs
-                    .chunks(chunk)
-                    .map(|part| {
-                        let serial = &serial;
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|req| match core.decide_with(req, serial) {
-                                    Ok(reply) => Ok(reply.render()),
-                                    Err(err) => Err((req.id, err)),
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("batch decision panicked")).collect()
-            });
-            chunked.into_iter().flatten().collect()
-        } else {
-            reqs.iter()
-                .map(|req| match self.core.decide(req) {
-                    Ok(reply) => Ok(reply.render()),
-                    Err(err) => Err((req.id, err)),
-                })
-                .collect()
-        };
-        let latency_us = start.elapsed().as_micros() as u64;
-        let parts: Vec<String> = outcomes
-            .into_iter()
-            .map(|outcome| {
+        let parts: Vec<String> = reqs
+            .iter()
+            .map(|req| {
                 self.summary.requests += 1;
-                match outcome {
-                    Ok(line) => line,
-                    Err((id, err)) => {
+                match self.core.decide(req) {
+                    Ok(reply) => reply.render(),
+                    Err(err) => {
                         self.summary.errors += 1;
-                        error_line(id, &err)
+                        error_line(req.id, &err)
                     }
                 }
             })
             .collect();
+        let latency_us = start.elapsed().as_micros() as u64;
         let delta = self.core.cache.stats().since(&before);
         format!(
             "{{\"ok\":true,\"op\":\"batch\",\"replies\":[{}],\"latency_us\":{latency_us},\
-             \"cache_hits\":{},\"cache_misses\":{},\"decision_threads\":{}}}",
+             \"cache_hits\":{},\"cache_misses\":{},\"decision_threads\":1}}",
             parts.join(","),
             delta.group_hits,
             delta.group_misses,
-            self.core.cache.decision_threads()
         )
     }
 
@@ -1228,6 +1197,21 @@ mod tests {
         assert!(ok[0].contains("\"ok\":true"), "{}", ok[0]);
         let stats = service.handle_line(r#"{"op":"stats"}"#);
         assert!(stats[0].contains("\"errors\":2"), "{}", stats[0]);
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_refused_without_overflowing_the_stack() {
+        let mut service = ScheduleService::new(core());
+        let deep = "[".repeat(600_000);
+        let refused = service.handle_line(&deep);
+        assert_eq!(refused.len(), 1);
+        assert!(refused[0].contains("\"ok\":false"), "{}", refused[0]);
+        assert!(refused[0].contains("nesting deeper than"), "{}", refused[0]);
+        // Nesting up to the limit still parses (then fails as a non-object).
+        let nested = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse_line(&nested).unwrap_err().contains("must be a JSON object"));
+        let ok = service.handle_line(r#"{"heuristic":"IE","workers":"UUUUUUUU","id":1}"#);
+        assert!(ok[0].contains("\"id\":1") && ok[0].contains("\"ok\":true"), "{}", ok[0]);
     }
 
     #[test]

@@ -150,9 +150,8 @@ impl SuiteSpec {
     /// of the roadmap's scale axis. The same few worker profiles (clustered
     /// speeds, 16 pooled availability classes) keep the per-decision worker
     /// index small, so a decision's cost stays `O(p)` index build plus an
-    /// `O(classes)` scan; pair with `--decision-threads` to split that scan
-    /// across cores. One iteration: at this scale the point is the decision
-    /// itself, not trajectory statistics.
+    /// `O(classes)` scan. One iteration: at this scale the point is the
+    /// decision itself, not trajectory statistics.
     pub fn colossal() -> SuiteSpec {
         SuiteSpec {
             name: "colossal".to_string(),

@@ -19,43 +19,6 @@ use dg_analysis::{Estimator, EvalCache, IterationEstimate};
 use dg_sim::config::ActiveConfiguration;
 use dg_sim::view::SimView;
 
-/// Reusable scratch buffers of one candidate evaluation: the member, task and
-/// communication-volume lists handed to the estimator.
-///
-/// A [`SchedulingContext`] owns one for its serial hot path; a parallel
-/// candidate scan gives each scoped thread its own, so concurrent probes
-/// against the shared (`Sync`) [`Estimator`] never contend on buffers. The
-/// evaluation itself is a pure function of the view and the entries — which
-/// scratch carries it cannot affect the result.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    pub(crate) members: Vec<usize>,
-    pub(crate) tasks: Vec<usize>,
-    pub(crate) comm: Vec<u64>,
-}
-
-impl EvalScratch {
-    /// Evaluate a candidate configuration described by `(worker, tasks)`
-    /// entries (ascending worker order) through `estimator`. See
-    /// [`SchedulingContext::evaluate`] for the semantics.
-    pub fn evaluate(
-        &mut self,
-        estimator: &Estimator,
-        view: &SimView<'_>,
-        entries: impl IntoIterator<Item = (usize, usize)>,
-    ) -> IterationEstimate {
-        self.members.clear();
-        self.tasks.clear();
-        self.comm.clear();
-        for (q, x) in entries {
-            self.members.push(q);
-            self.tasks.push(x);
-            self.comm.push(view.comm_slots_remaining(q, x));
-        }
-        estimator.iteration_estimate(&self.members, &self.tasks, &self.comm)
-    }
-}
-
 /// Evaluation context shared by the heuristics: an estimator handle plus the
 /// scratch buffers of the candidate-evaluation hot path.
 #[derive(Debug)]
@@ -65,7 +28,9 @@ pub struct SchedulingContext {
     scan: ScanStrategy,
     // Scratch reused by evaluate/evaluate_remaining so that probing a
     // candidate allocates nothing.
-    scratch: EvalScratch,
+    members: Vec<usize>,
+    tasks: Vec<usize>,
+    comm: Vec<u64>,
 }
 
 impl SchedulingContext {
@@ -77,7 +42,9 @@ impl SchedulingContext {
             estimator: None,
             epsilon,
             scan: ScanStrategy::Auto,
-            scratch: EvalScratch::default(),
+            members: Vec::new(),
+            tasks: Vec::new(),
+            comm: Vec::new(),
         }
     }
 
@@ -89,23 +56,13 @@ impl SchedulingContext {
     /// Create a context evaluating through the (possibly shared) `cache`.
     /// Every context built from clones of one cache handle reads and writes
     /// the same memo tables, so group quantities are computed once per
-    /// scenario rather than once per heuristic. The cache's
-    /// `decision_threads` knob rides along: contexts built from a
-    /// multi-threaded cache handle run parallel candidate scans.
+    /// scenario rather than once per heuristic.
     pub fn with_cache(cache: EvalCache) -> Self {
+        let epsilon = cache.tables().epsilon();
         SchedulingContext {
-            epsilon: cache.tables().epsilon(),
             estimator: Some(Estimator::from_cache(cache)),
-            scan: ScanStrategy::Auto,
-            scratch: EvalScratch::default(),
+            ..SchedulingContext::new(epsilon)
         }
-    }
-
-    /// How many scoped threads a candidate scan driven through this context
-    /// may use, inherited from the underlying cache handle (1 for private,
-    /// lazily built caches).
-    pub fn decision_threads(&self) -> usize {
-        self.estimator.as_ref().map_or(1, |e| e.cache().decision_threads())
     }
 
     /// How [`crate::passive::build_incremental`] enumerates candidate workers
@@ -117,13 +74,6 @@ impl SchedulingContext {
     /// Override the candidate-scan strategy (default: [`ScanStrategy::Auto`]).
     pub fn set_scan_strategy(&mut self, strategy: ScanStrategy) {
         self.scan = strategy;
-    }
-
-    /// Access the estimator, creating it (with a private cache) from the
-    /// view's platform and master description on first use.
-    pub fn estimator(&mut self, view: &SimView<'_>) -> &Estimator {
-        self.ensure_estimator(view);
-        self.estimator.as_ref().expect("estimator was just initialized")
     }
 
     fn ensure_estimator(&mut self, view: &SimView<'_>) {
@@ -143,9 +93,17 @@ impl SchedulingContext {
         view: &SimView<'_>,
         entries: impl IntoIterator<Item = (usize, usize)>,
     ) -> IterationEstimate {
+        self.members.clear();
+        self.tasks.clear();
+        self.comm.clear();
+        for (q, x) in entries {
+            self.members.push(q);
+            self.tasks.push(x);
+            self.comm.push(view.comm_slots_remaining(q, x));
+        }
         self.ensure_estimator(view);
         let est = self.estimator.as_ref().expect("estimator was just initialized");
-        self.scratch.evaluate(est, view, entries)
+        est.iteration_estimate(&self.members, &self.tasks, &self.comm)
     }
 
     /// Evaluate the *remaining* work of the currently active configuration:
@@ -159,18 +117,18 @@ impl SchedulingContext {
         view: &SimView<'_>,
         config: &ActiveConfiguration,
     ) -> IterationEstimate {
-        self.scratch.members.clear();
-        self.scratch.comm.clear();
+        self.members.clear();
+        self.comm.clear();
         for &(q, x) in config.assignment.entries() {
-            self.scratch.members.push(q);
-            self.scratch.comm.push(view.comm_slots_remaining(q, x));
+            self.members.push(q);
+            self.comm.push(view.comm_slots_remaining(q, x));
         }
         let remaining = config.remaining_computation();
         self.ensure_estimator(view);
         let est = self.estimator.as_ref().expect("estimator was just initialized");
-        let comm_est = est.comm_estimate(&self.scratch.members, &self.scratch.comm);
-        let comp_e = est.expected_computation_time(&self.scratch.members, remaining);
-        let comp_p = est.computation_success_probability(&self.scratch.members, remaining);
+        let comm_est = est.comm_estimate(&self.members, &self.comm);
+        let comp_e = est.expected_computation_time(&self.members, remaining);
+        let comp_p = est.computation_success_probability(&self.members, remaining);
         IterationEstimate::combine(
             comm_est.expected_duration,
             comm_est.success_probability,

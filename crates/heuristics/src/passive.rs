@@ -7,15 +7,11 @@
 //! configuration extended with that worker.
 
 use crate::candidate::CandidateConfig;
-use crate::context::{EvalScratch, SchedulingContext};
+use crate::context::SchedulingContext;
 use dg_analysis::IterationEstimate;
 use dg_sim::view::{Decision, Reevaluation, Scheduler, SimView};
 use dg_sim::Assignment;
 use serde::{Deserialize, Serialize};
-
-/// Minimum probe-list length before one greedy round spawns scoped threads;
-/// below this the spawn/join overhead dwarfs the evaluations.
-const PARALLEL_SCAN_MIN_PROBES: usize = 8;
 
 /// The four incremental task-placement criteria of Section VI-A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -97,18 +93,8 @@ pub fn build_incremental(
 }
 
 /// One greedy round: probe every worker of `probe` against the partial
-/// `candidate` and return the winning `(worker, score)` under the serial
-/// first-maximizer rule, or `None` if no probed worker can take another task.
-///
-/// The serial reference walks `probe` in order and keeps the first strict
-/// maximizer (`score > best_score`). The parallel path splits `probe` into
-/// contiguous chunks, finds each chunk's first maximizer on its own scoped
-/// thread (with a private [`CandidateConfig`] clone and [`EvalScratch`],
-/// against the shared `Sync` estimator), then folds the chunk winners **in
-/// chunk order** under the same strict `>` — which selects exactly the
-/// serial winner, because every score is a pure function of
-/// `(worker, partial candidate, view)` and the first maximizer of a
-/// concatenation is the fold of the chunks' first maximizers.
+/// `candidate`, in order, and return the first strict maximizer
+/// `(worker, score)`, or `None` if no probed worker can take another task.
 fn scan_round(
     context: &mut SchedulingContext,
     view: &SimView<'_>,
@@ -117,68 +103,21 @@ fn scan_round(
     probe: &[usize],
     elapsed: u64,
 ) -> Option<(usize, f64)> {
-    let threads = context.decision_threads().min(probe.len());
-    if threads <= 1 || probe.len() < PARALLEL_SCAN_MIN_PROBES {
-        let mut best: Option<(usize, f64)> = None;
-        for &q in probe {
-            if !view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1) {
-                continue;
-            }
-            candidate.add_task(q);
-            let estimate = context.evaluate(view, candidate.entries());
-            let score = kind.score(&estimate, elapsed);
-            candidate.remove_task(q);
-            let better = match best {
-                None => true,
-                Some((_, best_score)) => score > best_score,
-            };
-            if better {
-                best = Some((q, score));
-            }
-        }
-        return best;
-    }
-
-    let estimator = context.estimator(view);
-    let chunk = probe.len().div_ceil(threads);
-    let chunk_best: Vec<Option<(usize, f64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = probe
-            .chunks(chunk)
-            .map(|part| {
-                let mut local = candidate.clone();
-                scope.spawn(move || {
-                    let mut scratch = EvalScratch::default();
-                    let mut best: Option<(usize, f64)> = None;
-                    for &q in part {
-                        if !view.platform.worker(q).can_hold(local.tasks_of(q) + 1) {
-                            continue;
-                        }
-                        local.add_task(q);
-                        let estimate = scratch.evaluate(estimator, view, local.entries());
-                        let score = kind.score(&estimate, elapsed);
-                        local.remove_task(q);
-                        let better = match best {
-                            None => true,
-                            Some((_, best_score)) => score > best_score,
-                        };
-                        if better {
-                            best = Some((q, score));
-                        }
-                    }
-                    best
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("candidate scan panicked")).collect()
-    });
     let mut best: Option<(usize, f64)> = None;
-    for won in chunk_best.into_iter().flatten() {
+    for &q in probe {
+        if !view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1) {
+            continue;
+        }
+        candidate.add_task(q);
+        let estimate = context.evaluate(view, candidate.entries());
+        let score = kind.score(&estimate, elapsed);
+        candidate.remove_task(q);
         let better = match best {
             None => true,
-            Some((_, best_score)) => won.1 > best_score,
+            Some((_, best_score)) => score > best_score,
         };
         if better {
-            best = Some(won);
+            best = Some((q, score));
         }
     }
     best

@@ -438,15 +438,13 @@ proptest! {
     }
 
     /// The prefix-accumulator of the scaling layer: folding workers in one at
-    /// a time, or merging two independently folded halves, agrees with the
-    /// batch left-fold of `GroupComputation` to within `1e-12` relative
-    /// error, on chains drawn from every availability regime.
+    /// a time agrees with the batch left-fold of `GroupComputation` to within
+    /// `1e-12` relative error, on chains drawn from every availability regime.
     #[test]
-    fn accumulator_extend_and_merge_match_batch(
+    fn accumulator_extend_matches_batch(
         regime in availability_regime(),
         seed in 0u64..10_000,
         count in 2usize..7,
-        split in 1usize..6,
         w in 1u64..40,
     ) {
         use desktop_grid_scheduling::analysis::GroupAccumulator;
@@ -480,18 +478,6 @@ proptest! {
             acc = acc.extend(s).expect("regime-sampled chains can fail");
         }
         check("extend chain", acc.quantities());
-
-        // Merge of two independently folded halves.
-        let split = split.min(count - 1);
-        let fold = |part: &[WorkerSeries]| {
-            part.iter().fold(GroupAccumulator::empty(1e-7), |a, s| {
-                a.extend(s).expect("regime-sampled chains can fail")
-            })
-        };
-        let merged = fold(&series[..split])
-            .merge(&fold(&series[split..]))
-            .expect("regime-sampled chains can fail");
-        check("merged halves", merged.quantities());
     }
 
     /// The indexed candidate scan builds the exact assignment of the
@@ -555,112 +541,6 @@ proptest! {
             prop_assert_eq!(
                 &exhaustive, &indexed,
                 "{:?} diverged between scans on a single-pool platform (seed {})", kind, seed
-            );
-        }
-    }
-
-    /// The decision-parallelism tentpole: for **every** of the 17 heuristics
-    /// on a sampled platform, a decision evaluated through a multi-threaded
-    /// cache handle (2, 4 or 8 scoped threads) is **byte-identical** to the
-    /// serial decision — same `Decision`, and the same total number of
-    /// group-quantity lookups (the deterministic chunk-order reduction probes
-    /// exactly the serial candidate sets, under both scan strategies).
-    #[test]
-    fn parallel_decisions_are_byte_identical_to_serial_for_every_heuristic(
-        seed in 0u64..10_000,
-        workers in 12usize..32,
-        m in 2usize..7,
-        fast in 0.0f64..1.0,
-        classes in 1usize..5,
-        threads_idx in 0usize..3,
-        down_mask in 0u32..8,
-        strategy_idx in 0usize..2,
-    ) {
-        use desktop_grid_scheduling::heuristics::{HeuristicSpec, ScanStrategy};
-        use desktop_grid_scheduling::sim::view::{SimView, WorkerView};
-        use desktop_grid_scheduling::sim::worker_state::WorkerDynamicState;
-
-        let model = ScenarioModel {
-            speeds: SpeedProfile::Clustered { fast_fraction: fast, slow_factor: 4 },
-            availability: AvailabilityRegime::Pooled { classes },
-            ..ScenarioModel::paper()
-        };
-        let params = ScenarioParams {
-            num_workers: workers,
-            tasks_per_iteration: m,
-            ncom: 4,
-            wmin: 2,
-            iterations: 2,
-        };
-        let scenario = Scenario::generate_with(params, &model, seed);
-        // A few non-UP workers so the probe list is not trivially the whole
-        // platform; keep most UP so every heuristic can still schedule.
-        let views: Vec<WorkerView> = (0..workers)
-            .map(|q| {
-                let state = if q < 3 && down_mask & (1 << q) != 0 {
-                    ProcState::Down
-                } else {
-                    ProcState::Up
-                };
-                WorkerView { state, dynamic: WorkerDynamicState::fresh() }
-            })
-            .collect();
-        let view = SimView {
-            time: 0,
-            iteration: 0,
-            completed_iterations: 0,
-            iteration_started_at: 0,
-            workers: &views,
-            platform: &scenario.platform,
-            application: &scenario.application,
-            master: &scenario.master,
-            current: None,
-        };
-        let threads = [2usize, 4, 8][threads_idx];
-        let strategy =
-            [ScanStrategy::Exhaustive, ScanStrategy::Indexed][strategy_idx];
-        // Registry-built schedulers use the Auto strategy; to cover both scan
-        // paths at sub-threshold sizes the passive/proactive schedulers are
-        // assembled around a context with the strategy forced.
-        let build = |spec: &HeuristicSpec, cache: &EvalCache| -> Box<dyn Scheduler> {
-            use desktop_grid_scheduling::heuristics::{PassiveScheduler, ProactiveScheduler};
-            let context = |cache: &EvalCache| {
-                let mut ctx =
-                    desktop_grid_scheduling::heuristics::SchedulingContext::with_cache(
-                        cache.clone(),
-                    );
-                ctx.set_scan_strategy(strategy);
-                ctx
-            };
-            match *spec {
-                HeuristicSpec::Random => spec.build_with_cache(seed, cache),
-                HeuristicSpec::Passive(k) => {
-                    Box::new(PassiveScheduler::with_context(k, context(cache)))
-                }
-                HeuristicSpec::Proactive(c, k) => {
-                    Box::new(ProactiveScheduler::with_context(c, k, context(cache)))
-                }
-            }
-        };
-        for spec in HeuristicSpec::all() {
-            let serial_cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-6);
-            let mut parallel_cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-6);
-            parallel_cache.set_decision_threads(threads);
-            prop_assert_eq!(parallel_cache.decision_threads(), threads);
-            let mut serial = build(&spec, &serial_cache);
-            let mut parallel = build(&spec, &parallel_cache);
-            let a = serial.decide(&view);
-            let b = parallel.decide(&view);
-            prop_assert_eq!(
-                &a, &b,
-                "{} diverged between 1 and {} decision threads (seed {}, {:?})",
-                spec.name(), threads, seed, strategy
-            );
-            prop_assert_eq!(
-                serial_cache.stats().lookups(),
-                parallel_cache.stats().lookups(),
-                "{} probed a different number of sets under {} threads (seed {})",
-                spec.name(), threads, seed
             );
         }
     }

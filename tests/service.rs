@@ -227,59 +227,6 @@ fn batch_entries_share_the_warm_cache() {
     assert_eq!(reply.matches("\"cache_misses\":0").count(), 2, "{reply}");
 }
 
-/// A parallel batch (`--decision-threads 4`) fans its members across a
-/// scoped pool of serial cache handles, yet every member's assignment is
-/// byte-identical to the serial batch's, the members land in request order,
-/// and both the member replies and the batch line report the thread counts
-/// they actually used.
-#[test]
-fn parallel_batch_matches_the_serial_batch_and_reports_its_threads() {
-    let mut serial = ScheduleService::new(core());
-    let mut parallel_core = ServiceCore::new(scenario(), 1e-6, BASE_SEED);
-    parallel_core.cache.set_decision_threads(4);
-    let mut parallel = ScheduleService::new(Arc::new(parallel_core));
-    let heuristics = ["IE", "IAY", "Y-IE", "E-IE", "P-IE", "Y-IAY", "IE", "IP"];
-    let entries: Vec<String> = heuristics
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{{\"heuristic\":\"{h}\",\"workers\":\"UURUUDUU\",\"id\":{i}}}"))
-        .collect();
-    let line = format!("{{\"batch\":[{}]}}", entries.join(","));
-    let serial_reply = serial.handle_line(&line).pop().unwrap();
-    let parallel_reply = parallel.handle_line(&line).pop().unwrap();
-
-    let assignment_of = |reply: &str, id: usize| -> String {
-        let member = reply.find(&format!("\"id\":{id},")).expect("member reply present");
-        let rest = &reply[member..];
-        let at = rest.find("\"assignment\":").unwrap() + "\"assignment\":".len();
-        rest[at..at + rest[at..].find(",\"latency_us\"").unwrap()].to_string()
-    };
-    for id in 0..heuristics.len() {
-        assert_eq!(
-            assignment_of(&serial_reply, id),
-            assignment_of(&parallel_reply, id),
-            "batch member {id} diverged between serial and parallel fan-out",
-        );
-    }
-    // Members arrive in request order regardless of which pool thread
-    // answered them.
-    let mut last = 0;
-    for id in 0..heuristics.len() {
-        let at = parallel_reply.find(&format!("\"id\":{id},")).unwrap();
-        assert!(at >= last, "member {id} out of order:\n{parallel_reply}");
-        last = at;
-    }
-    // Each member went through a serial handle; the batch line reports the
-    // pool width.
-    assert_eq!(
-        parallel_reply.matches("\"decision_threads\":1").count(),
-        heuristics.len(),
-        "{parallel_reply}"
-    );
-    assert!(parallel_reply.ends_with("\"decision_threads\":4}"), "{parallel_reply}");
-    assert!(serial_reply.ends_with("\"decision_threads\":1}"), "{serial_reply}");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
