@@ -53,10 +53,12 @@ pub struct PlatformTables {
 
 impl PlatformTables {
     /// Build the tables for `platform` and `master`, with series precision
-    /// `epsilon`.
+    /// `epsilon`. Each worker's series terms are tabulated at `epsilon` on
+    /// first use (see [`WorkerSeries::tabulated`]), so building the tables
+    /// evaluates no term.
     pub fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
         PlatformTables {
-            series: platform.chains().iter().map(WorkerSeries::new).collect(),
+            series: platform.chains().iter().map(|c| WorkerSeries::tabulated(c, epsilon)).collect(),
             speeds: platform.workers().iter().map(|w| w.speed).collect(),
             ncom: master.ncom,
             computation: GroupComputation::new(epsilon),
@@ -445,20 +447,20 @@ impl Estimator {
     }
 
     /// Expected duration (conditioned on success) of a computation of `w`
-    /// slots by the set `members`.
-    pub fn expected_computation_time(&self, members: &[usize], w: u64) -> f64 {
+    /// slots by the set `members`, and the probability that the set completes
+    /// it without any failure — both from one group lookup.
+    pub fn computation_estimate(&self, members: &[usize], w: u64) -> (f64, f64) {
         let g = self.group(members);
+        (self.completion_time(&g, w), g.prob_success(w))
+    }
+
+    /// `E^(S)(w)` of `g` under this estimator's duration model.
+    fn completion_time(&self, g: &GroupQuantities, w: u64) -> f64 {
         if self.use_paper_formula {
             g.expected_completion_time_paper(w)
         } else {
             g.expected_completion_time(w)
         }
-    }
-
-    /// Probability that the set `members` completes `w` slots of simultaneous
-    /// computation without any failure.
-    pub fn computation_success_probability(&self, members: &[usize], w: u64) -> f64 {
-        self.group(members).prob_success(w)
     }
 
     /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
@@ -483,13 +485,7 @@ impl Estimator {
             if n == 0 {
                 continue;
             }
-            let g = self.group(&[q]);
-            let e = if self.use_paper_formula {
-                g.expected_completion_time_paper(n)
-            } else {
-                g.expected_completion_time(n)
-            };
-            max_single = max_single.max(e);
+            max_single = max_single.max(self.completion_time(&self.group(&[q]), n));
         }
 
         let total: u64 = comm_slots.iter().sum();
@@ -524,8 +520,7 @@ impl Estimator {
         assert_eq!(members.len(), tasks.len(), "one task count per member");
         let w = self.computation_workload(members, tasks);
         let comm = self.comm_estimate(members, comm_slots);
-        let comp_e = self.expected_computation_time(members, w);
-        let comp_p = self.computation_success_probability(members, w);
+        let (comp_e, comp_p) = self.computation_estimate(members, w);
         IterationEstimate::combine(comm.expected_duration, comm.success_probability, comp_e, comp_p)
     }
 
@@ -644,6 +639,40 @@ mod tests {
     }
 
     #[test]
+    fn worker_tables_fill_lazily_and_only_for_probed_workers() {
+        let s = paper_scenario();
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let tables = cache.tables();
+        let tabulated = || -> Vec<usize> {
+            (0..tables.num_workers()).filter(|&q| tables.worker_series(q).is_tabulated()).collect()
+        };
+        assert_eq!(tabulated(), Vec::<usize>::new(), "building the cache must evaluate no term");
+        cache.group(&[2, 5, 9]);
+        assert_eq!(tabulated(), vec![2, 5, 9]);
+        cache.group(&[5]);
+        assert_eq!(tabulated(), vec![2, 5, 9]);
+    }
+
+    #[test]
+    fn computation_estimate_is_one_lookup_with_both_values() {
+        let s = paper_scenario();
+        let members = [0usize, 2, 4];
+        for paper in [false, true] {
+            let mut est = Estimator::with_default_epsilon(&s.platform, &s.master);
+            est.set_use_paper_formula(paper);
+            let (e, p) = est.computation_estimate(&members, 20);
+            assert_eq!(est.cache().stats().lookups(), 1);
+            let g = est.group(&members);
+            let expected = if paper {
+                g.expected_completion_time_paper(20)
+            } else {
+                g.expected_completion_time(20)
+            };
+            assert_eq!((e, p), (expected, g.prob_success(20)));
+        }
+    }
+
+    #[test]
     fn workload_is_max_of_task_times() {
         let platform = dg_platform::Platform::new(
             vec![WorkerSpec::new(2), WorkerSpec::new(3), WorkerSpec::new(4)],
@@ -698,18 +727,14 @@ mod tests {
         let mut est = Estimator::with_default_epsilon(&s.platform, &s.master);
         let members = [0usize, 1, 2];
         let w = 20;
-        let renewal = est.expected_computation_time(&members, w);
+        let (renewal, p1) = est.computation_estimate(&members, w);
         est.set_use_paper_formula(true);
-        let paper = est.expected_computation_time(&members, w);
+        let (paper, p2) = est.computation_estimate(&members, w);
         // Both are >= W; the paper's literal formula divides by P₊^{W-1} and is
         // therefore never smaller than the renewal form.
         assert!(renewal >= w as f64 - 1e-9);
         assert!(paper >= renewal - 1e-9);
         // Success probabilities are identical under both readings.
-        est.set_use_paper_formula(false);
-        let p1 = est.computation_success_probability(&members, w);
-        est.set_use_paper_formula(true);
-        let p2 = est.computation_success_probability(&members, w);
         assert_eq!(p1, p2);
     }
 

@@ -178,7 +178,7 @@ fn render_json(
     evals_per_point: usize,
     cells: &[Cell],
 ) -> String {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = dg_bench::host_cpus();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"campaign\",\n");

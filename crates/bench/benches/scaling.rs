@@ -92,10 +92,6 @@ fn eval_bound(p: usize) -> f64 {
     BOUND_OFFSET + BOUND_FACTOR * (p as f64) * (p as f64).log2()
 }
 
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// The massive preset's generator axes (mirrors `SuiteSpec::massive()` —
 /// and, at `p = 10⁶`, `SuiteSpec::colossal()` — in `dg-experiments`, which
 /// `dg-bench` keeps out of this target's hot path).
@@ -171,7 +167,7 @@ fn measure(p: usize) -> Point {
     Point {
         workers: p,
         classes,
-        host_cpus: host_cpus(),
+        host_cpus: dg_bench::host_cpus(),
         evals,
         group_misses: stats.group_misses,
         series_terms: cache.series_terms(),

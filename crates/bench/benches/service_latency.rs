@@ -9,7 +9,8 @@
 //! median warm latency. It asserts the warm path incurs **zero** misses and
 //! is faster than the cold path, and writes the cold/warm table to
 //! `BENCH_service.json` at the workspace root — a machine-readable baseline
-//! meant to be committed, so future optimisation PRs diff against it.
+//! meant to be committed, so future optimisation PRs diff against it. The
+//! file records `host_cpus`, so a diff across machines is attributable.
 //!
 //! Environment:
 //! * `DG_SERVICE_WARM_ITERS` overrides the warm-sample count (default 50;
@@ -108,6 +109,7 @@ fn render_json(warm_iters: usize, rows: &[Row], batch_us: u64, group: usize) -> 
     out.push_str("{\n");
     out.push_str("  \"bench\": \"service_latency\",\n");
     out.push_str("  \"platform\": {\"workers\": 20, \"m\": 5, \"ncom\": 10, \"wmin\": 2},\n");
+    out.push_str(&format!("  \"host_cpus\": {},\n", dg_bench::host_cpus()));
     out.push_str(&format!("  \"warm_iters\": {warm_iters},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {

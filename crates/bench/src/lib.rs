@@ -30,6 +30,12 @@ use dg_heuristics::HeuristicSpec;
 use dg_platform::{Scenario, ScenarioParams};
 use dg_sim::{EngineReport, SimMode, SimOutcome, SimulationLimits, Simulator};
 
+/// Logical CPUs of the host, recorded next to every committed `BENCH_*.json`
+/// baseline so wall-clock numbers stay attributable to their machine.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Build a small paper-style scenario used by several benches.
 pub fn bench_scenario(m: usize, ncom: usize, wmin: u64, iterations: u64, seed: u64) -> Scenario {
     let params = ScenarioParams { num_workers: 20, tasks_per_iteration: m, ncom, wmin, iterations };

@@ -1029,19 +1029,33 @@ impl ScheduleService {
     }
 
     /// Serve JSONL requests from `reader`, writing replies to `writer`, until
-    /// EOF or a closed peer. Never exits on malformed input; flushes after
-    /// every request so pipes and sockets see replies promptly.
+    /// EOF or a closed peer. Never exits on malformed input — a line that is
+    /// not UTF-8 gets an error reply like any other — and flushes after every
+    /// request so pipes and sockets see replies promptly.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
-        reader: R,
+        mut reader: R,
         writer: &mut W,
     ) -> std::io::Result<ServeSummary> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            if reader.read_until(b'\n', &mut buf)? == 0 {
+                break;
             }
-            for reply in self.handle_line(&line) {
+            let replies = match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => {
+                    let line =
+                        line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+                    self.handle_line(line)
+                }
+                Err(err) => {
+                    self.summary.errors += 1;
+                    vec![error_line(None, &format!("request line is not UTF-8: {err}"))]
+                }
+            };
+            for reply in replies {
                 if let Err(err) = writeln!(writer, "{reply}") {
                     if err.kind() == std::io::ErrorKind::BrokenPipe {
                         return Ok(self.summary);
@@ -1294,6 +1308,24 @@ mod tests {
         assert!(lines[0].contains("\"id\":5") && lines[0].contains("\"ok\":true"), "{text}");
         assert!(lines[1].contains("\"ok\":false"), "{text}");
         assert_eq!(summary.requests, 1);
+        assert_eq!(summary.errors, 1);
+    }
+
+    #[test]
+    fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+        let mut service = ScheduleService::new(core());
+        let mut input = b"{\"heuristic\":\"IE\",\"workers\":\"UUUUUUUU\",\"id\":1}\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend_from_slice(b"{\"heuristic\":\"IE\",\"workers\":\"UUUUUUUU\",\"id\":2}\r\n");
+        let mut out = Vec::new();
+        let summary = service.serve(std::io::Cursor::new(input), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].contains("\"id\":1") && lines[0].contains("\"ok\":true"), "{text}");
+        assert!(lines[1].contains("\"ok\":false") && lines[1].contains("not UTF-8"), "{text}");
+        assert!(lines[2].contains("\"id\":2") && lines[2].contains("\"ok\":true"), "{text}");
+        assert_eq!(summary.requests, 2);
         assert_eq!(summary.errors, 1);
     }
 

@@ -127,8 +127,7 @@ impl SchedulingContext {
         self.ensure_estimator(view);
         let est = self.estimator.as_ref().expect("estimator was just initialized");
         let comm_est = est.comm_estimate(&self.members, &self.comm);
-        let comp_e = est.expected_computation_time(&self.members, remaining);
-        let comp_p = est.computation_success_probability(&self.members, remaining);
+        let (comp_e, comp_p) = est.computation_estimate(&self.members, remaining);
         IterationEstimate::combine(
             comm_est.expected_duration,
             comm_est.success_probability,
