@@ -89,11 +89,14 @@ mod tests {
     use dg_availability::MarkovChain3;
 
     fn series(p_uu: f64, p_rr: f64, p_dd: f64) -> WorkerSeries {
-        WorkerSeries::new(&MarkovChain3::from_self_loop_probs(p_uu, p_rr, p_dd).unwrap())
+        WorkerSeries::new(
+            &MarkovChain3::from_self_loop_probs(p_uu, p_rr, p_dd).unwrap(),
+            crate::DEFAULT_EPSILON,
+        )
     }
 
     fn reliable() -> WorkerSeries {
-        WorkerSeries::new(&MarkovChain3::always_up())
+        WorkerSeries::new(&MarkovChain3::always_up(), crate::DEFAULT_EPSILON)
     }
 
     #[test]

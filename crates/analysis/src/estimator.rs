@@ -54,11 +54,11 @@ pub struct PlatformTables {
 impl PlatformTables {
     /// Build the tables for `platform` and `master`, with series precision
     /// `epsilon`. Each worker's series terms are tabulated at `epsilon` on
-    /// first use (see [`WorkerSeries::tabulated`]), so building the tables
+    /// first use (see [`WorkerSeries::new`]), so building the tables
     /// evaluates no term.
     pub fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
         PlatformTables {
-            series: platform.chains().iter().map(|c| WorkerSeries::tabulated(c, epsilon)).collect(),
+            series: platform.chains().iter().map(|c| WorkerSeries::new(c, epsilon)).collect(),
             speeds: platform.workers().iter().map(|w| w.speed).collect(),
             ncom: master.ncom,
             computation: GroupComputation::new(epsilon),

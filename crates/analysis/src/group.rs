@@ -416,7 +416,10 @@ mod tests {
     use dg_availability::MarkovChain3;
 
     fn series(p_uu: f64, p_rr: f64, p_dd: f64) -> WorkerSeries {
-        WorkerSeries::new(&MarkovChain3::from_self_loop_probs(p_uu, p_rr, p_dd).unwrap())
+        WorkerSeries::new(
+            &MarkovChain3::from_self_loop_probs(p_uu, p_rr, p_dd).unwrap(),
+            crate::DEFAULT_EPSILON,
+        )
     }
 
     #[test]
@@ -430,8 +433,8 @@ mod tests {
 
     #[test]
     fn always_up_set_completes_in_exactly_w() {
-        let w1 = WorkerSeries::new(&MarkovChain3::always_up());
-        let w2 = WorkerSeries::new(&MarkovChain3::always_up());
+        let w1 = WorkerSeries::new(&MarkovChain3::always_up(), crate::DEFAULT_EPSILON);
+        let w2 = WorkerSeries::new(&MarkovChain3::always_up(), crate::DEFAULT_EPSILON);
         let g = GroupComputation::default().compute(&[&w1, &w2]);
         assert!(!g.can_fail);
         assert_eq!(g.p_plus, 1.0);
@@ -530,8 +533,8 @@ mod tests {
             [0.0, 0.0, 1.0],
         ]))
         .unwrap();
-        let w1 = WorkerSeries::new(&chain);
-        let w2 = WorkerSeries::new(&chain);
+        let w1 = WorkerSeries::new(&chain, crate::DEFAULT_EPSILON);
+        let w2 = WorkerSeries::new(&chain, crate::DEFAULT_EPSILON);
         let g = GroupComputation::default().compute(&[&w1, &w2]);
         assert!(!g.can_fail);
         assert_eq!(g.p_plus, 1.0);
@@ -600,7 +603,7 @@ mod tests {
 
     #[test]
     fn accumulator_rejects_sets_that_cannot_fail() {
-        let always_up = WorkerSeries::new(&MarkovChain3::always_up());
+        let always_up = WorkerSeries::new(&MarkovChain3::always_up(), crate::DEFAULT_EPSILON);
         let empty = GroupAccumulator::empty(1e-7);
         assert!(empty.extend(&always_up).is_none());
 
@@ -611,7 +614,7 @@ mod tests {
             [0.0, 0.0, 1.0],
         ]))
         .unwrap();
-        let reclaim_only = WorkerSeries::new(&chain);
+        let reclaim_only = WorkerSeries::new(&chain, crate::DEFAULT_EPSILON);
         assert!(empty.extend(&reclaim_only).is_none());
         assert!(GroupComputation::default().accumulate(&[&reclaim_only]).is_none());
 

@@ -6,9 +6,9 @@
 //! the closed form `µ·λ₁ᵗ + ν·λ₂ᵗ`. This module wraps both evaluations and the
 //! per-worker data needed for series truncation.
 //!
-//! A [`WorkerSeries::tabulated`] worker also keeps its terms in a table filled
-//! on first use, so the group series of every set containing it read each term
-//! instead of re-evaluating two powers per set.
+//! A worker that can fail also keeps its terms in a table filled on first use,
+//! so the group series of every set containing it read each term instead of
+//! re-evaluating two powers per set.
 
 use crate::group::series_len;
 use dg_availability::markov::UpUpSeries;
@@ -24,11 +24,11 @@ pub struct WorkerSeries {
     lambda1: f64,
     can_fail: bool,
     /// Precision `ε` at which the terms are tabulated: the table holds
-    /// `t = 1..=series_len(ε, λ₁)`. `None` for untabulated series and for
-    /// workers that cannot fail (no truncated series exists for them).
-    table_epsilon: Option<f64>,
+    /// `t = 1..=series_len(ε, λ₁)`.
+    epsilon: f64,
     /// `table[t − 1] = P^(q)_{u →t→ u}`, filled on the first [`up_to_up`]
-    /// call.
+    /// call. Stays empty for workers that cannot fail: no truncated series
+    /// exists for them.
     ///
     /// [`up_to_up`]: WorkerSeries::up_to_up
     #[serde(skip)]
@@ -36,32 +36,23 @@ pub struct WorkerSeries {
 }
 
 impl WorkerSeries {
-    /// Pre-process one worker's availability chain. Every term is evaluated
-    /// directly, on each call.
-    pub fn new(chain: &MarkovChain3) -> Self {
+    /// Pre-process one worker's availability chain. The terms
+    /// `t = 1..=series_len(ε, λ₁)` — the worker's own truncated series at
+    /// precision `epsilon` — are evaluated once, on first use, and read from a
+    /// table afterwards. A set's joint eigenvalue `Π λ₁` never exceeds a
+    /// member's `λ₁`, so every group series at the same `ε` stays within its
+    /// members' tables; later terms, and workers that cannot fail, are
+    /// evaluated directly. Table entries are the direct values, so results are
+    /// bit-identical.
+    pub fn new(chain: &MarkovChain3, epsilon: f64) -> Self {
         WorkerSeries {
             chain: *chain,
             closed_form: chain.up_up_series(),
             lambda1: chain.dominant_up_eigenvalue(),
             can_fail: chain.can_fail(),
-            table_epsilon: None,
+            epsilon,
             table: OnceLock::new(),
         }
-    }
-
-    /// Like [`WorkerSeries::new`], but the terms `t = 1..=series_len(ε, λ₁)` —
-    /// the worker's own truncated series at precision `epsilon` — are
-    /// evaluated once, on first use, and read from a table afterwards. A
-    /// set's joint eigenvalue `Π λ₁` never exceeds a member's `λ₁`, so every
-    /// group series at the same `ε` stays within its members' tables; later
-    /// terms, and workers that cannot fail, are evaluated directly. Table
-    /// entries are the direct values, so results are bit-identical.
-    pub fn tabulated(chain: &MarkovChain3, epsilon: f64) -> Self {
-        let mut series = WorkerSeries::new(chain);
-        if series.can_fail {
-            series.table_epsilon = Some(epsilon);
-        }
-        series
     }
 
     /// The underlying chain.
@@ -79,9 +70,9 @@ impl WorkerSeries {
         self.can_fail
     }
 
-    /// `true` once the term table has been filled (never for series built by
-    /// [`WorkerSeries::new`]).
-    pub fn is_tabulated(&self) -> bool {
+    /// `true` once the term table has been filled.
+    #[cfg(test)]
+    pub(crate) fn is_tabulated(&self) -> bool {
         self.table.get().is_some()
     }
 
@@ -95,15 +86,16 @@ impl WorkerSeries {
         }
     }
 
-    /// The term table, filled on first use; empty when untabulated.
+    /// The term table, filled on first use; empty for workers that cannot
+    /// fail.
     #[inline]
     fn table(&self) -> &[f64] {
-        match self.table_epsilon {
-            Some(epsilon) => self.table.get_or_init(|| {
-                (1..=series_len(epsilon, self.lambda1)).map(|t| self.evaluate(t)).collect()
-            }),
-            None => &[],
+        if !self.can_fail {
+            return &[];
         }
+        self.table.get_or_init(|| {
+            (1..=series_len(self.epsilon, self.lambda1)).map(|t| self.evaluate(t)).collect()
+        })
     }
 
     /// Evaluate `P^(q)_{u →t→ u}`, preferring the closed form and falling back
@@ -130,7 +122,7 @@ mod tests {
     #[test]
     fn closed_form_agrees_with_matrix_power() {
         let chain = MarkovChain3::from_self_loop_probs(0.94, 0.92, 0.9).unwrap();
-        let s = WorkerSeries::new(&chain);
+        let s = WorkerSeries::new(&chain, crate::DEFAULT_EPSILON);
         assert!(s.can_fail());
         for t in 0..300 {
             let a = s.up_to_up(t);
@@ -142,7 +134,7 @@ mod tests {
     #[test]
     fn always_up_worker() {
         let chain = MarkovChain3::always_up();
-        let s = WorkerSeries::new(&chain);
+        let s = WorkerSeries::new(&chain, crate::DEFAULT_EPSILON);
         assert!(!s.can_fail());
         assert!((s.lambda1() - 1.0).abs() < 1e-12);
         for t in [0, 1, 10, 1000] {
@@ -154,20 +146,18 @@ mod tests {
     /// Every term of a tabulated series, through the table's end and 16
     /// terms past it, must equal the direct evaluation bit for bit.
     fn assert_table_matches_direct(chain: &MarkovChain3, epsilon: f64) {
-        let direct = WorkerSeries::new(chain);
-        let tabulated = WorkerSeries::tabulated(chain, epsilon);
-        assert!(!tabulated.is_tabulated(), "the table must be filled lazily");
-        let len = if chain.can_fail() { series_len(epsilon, direct.lambda1()) } else { 0 };
+        let s = WorkerSeries::new(chain, epsilon);
+        assert!(!s.is_tabulated(), "the table must be filled lazily");
+        let len = if chain.can_fail() { series_len(epsilon, s.lambda1()) } else { 0 };
         for t in 1..=len + 16 {
             assert_eq!(
-                tabulated.up_to_up(t).to_bits(),
-                direct.up_to_up(t).to_bits(),
+                s.up_to_up(t).to_bits(),
+                s.evaluate(t).to_bits(),
                 "t = {t} (table length {len})"
             );
         }
-        assert_eq!(tabulated.is_tabulated(), chain.can_fail());
-        assert_eq!(tabulated.table().len() as u64, len);
-        assert!(!direct.is_tabulated());
+        assert_eq!(s.is_tabulated(), chain.can_fail());
+        assert_eq!(s.table().len() as u64, len);
     }
 
     #[test]
@@ -197,7 +187,7 @@ mod tests {
     #[test]
     fn values_bounded_and_decaying() {
         let chain = MarkovChain3::from_self_loop_probs(0.9, 0.95, 0.93).unwrap();
-        let s = WorkerSeries::new(&chain);
+        let s = WorkerSeries::new(&chain, crate::DEFAULT_EPSILON);
         assert!(s.lambda1() < 1.0);
         for t in 0..500u64 {
             let v = s.up_to_up(t);

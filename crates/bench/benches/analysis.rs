@@ -5,14 +5,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dg_analysis::series::WorkerSeries;
-use dg_analysis::GroupComputation;
+use dg_analysis::{GroupComputation, DEFAULT_EPSILON};
 use dg_availability::rng::rng_from_seed;
 use dg_availability::MarkovChain3;
 use std::time::Duration;
 
 fn paper_series(n: usize, seed: u64) -> Vec<WorkerSeries> {
     let mut rng = rng_from_seed(seed);
-    (0..n).map(|_| WorkerSeries::new(&MarkovChain3::sample_paper_model(&mut rng))).collect()
+    (0..n)
+        .map(|_| WorkerSeries::new(&MarkovChain3::sample_paper_model(&mut rng), DEFAULT_EPSILON))
+        .collect()
 }
 
 fn precision_sweep(c: &mut Criterion) {

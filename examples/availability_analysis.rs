@@ -20,7 +20,8 @@ fn main() {
     let chains: Vec<MarkovChain3> = (0..5)
         .map(|q| MarkovChain3::from_self_loop_probs(0.98 - 0.015 * q as f64, 0.93, 0.95).unwrap())
         .collect();
-    let series: Vec<WorkerSeries> = chains.iter().map(WorkerSeries::new).collect();
+    let series: Vec<WorkerSeries> =
+        chains.iter().map(|c| WorkerSeries::new(c, computation.epsilon())).collect();
 
     let workload = 20; // slots of simultaneous computation
     println!("Workload W = {workload} slots of simultaneous UP time\n");

@@ -35,7 +35,7 @@ proptest! {
         chains in proptest::collection::vec(markov_chain(), 1..6),
         w in 1u64..40,
     ) {
-        let series: Vec<WorkerSeries> = chains.iter().map(WorkerSeries::new).collect();
+        let series: Vec<WorkerSeries> = chains.iter().map(|c| WorkerSeries::new(c, 1e-7)).collect();
         let refs: Vec<&WorkerSeries> = series.iter().collect();
         let g = GroupComputation::new(1e-7).compute(&refs);
         prop_assert!(g.p_plus >= 0.0 && g.p_plus <= 1.0);
@@ -53,7 +53,7 @@ proptest! {
         chains in proptest::collection::vec(markov_chain(), 2..6),
         w in 2u64..30,
     ) {
-        let series: Vec<WorkerSeries> = chains.iter().map(WorkerSeries::new).collect();
+        let series: Vec<WorkerSeries> = chains.iter().map(|c| WorkerSeries::new(c, 1e-8)).collect();
         let comp = GroupComputation::new(1e-8);
         for k in 1..series.len() {
             let smaller: Vec<&WorkerSeries> = series[..k].iter().collect();
@@ -453,7 +453,7 @@ proptest! {
         let mut rng = rng_from_seed(seed);
         let chains: Vec<MarkovChain3> =
             (0..count).map(|_| regime.sample_chain(&mut rng)).collect();
-        let series: Vec<WorkerSeries> = chains.iter().map(WorkerSeries::new).collect();
+        let series: Vec<WorkerSeries> = chains.iter().map(|c| WorkerSeries::new(c, 1e-7)).collect();
         let refs: Vec<&WorkerSeries> = series.iter().collect();
         let batch = GroupComputation::new(1e-7).compute(&refs);
 
