@@ -30,8 +30,9 @@ use crate::group::{GroupAccumulator, GroupComputation, GroupQuantities};
 use crate::series::WorkerSeries;
 use dg_platform::{MasterSpec, Platform};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Upper bound on the total number of per-`t` joint products retained by the
 /// prefix accumulators (~32 MB of `f64`s). Accumulators are pure derivations
@@ -150,21 +151,74 @@ impl EvalCacheStats {
     }
 }
 
+/// Multiply-rotate hasher (the FxHash construction) for the memo tables'
+/// keys: sorted worker indices and `(worker, horizon)` pairs, hashed one
+/// machine word per step instead of through SipHash. It gives up SipHash's
+/// resistance to keys crafted to collide, which these tables do not need:
+/// every key is built by the heuristics from worker indices below the
+/// cache's own worker count (`serve` requests name workers only through
+/// per-worker state strings and assignments checked against its platform),
+/// so outside input cannot pick arbitrary keys.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("chunks of exactly 8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A memo table keyed through [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// The shared memo tables behind the Section V estimates.
 ///
-/// Each table sits behind one `RwLock`: decisions are serial, and the only
+/// Each map sits behind one `RwLock`: decisions are serial, and the only
 /// concurrent users are the executor's job threads and `serve --listen`'s
-/// connection threads sharing one cache. The counters are atomics so totals
-/// stay exact under that sharing.
-#[derive(Debug, Default)]
+/// connection threads sharing one cache. Singleton sets — most lookups, via
+/// [`Estimator::comm_estimate`] — live in per-worker write-once slots that
+/// take neither a hash nor a lock. The counters are atomics so totals stay
+/// exact under that sharing.
+#[derive(Debug)]
 struct CacheState {
-    group: RwLock<HashMap<Vec<usize>, GroupQuantities>>,
-    no_down: RwLock<HashMap<(usize, u64), f64>>,
+    /// `singletons[q]` holds the group quantities of `{q}` once computed.
+    singletons: Box<[OnceLock<GroupQuantities>]>,
+    group: RwLock<WordMap<Vec<usize>, GroupQuantities>>,
+    no_down: RwLock<WordMap<(usize, u64), f64>>,
     /// Prefix accumulators keyed by sorted member set: `accums[S]` holds the
     /// per-`t` joint products of `S`, so a miss on `S ∪ {q}` (with `q` above
     /// every member of `S`) extends in O(terms) instead of recomputing the
     /// whole series. Bounded by [`ACCUMULATOR_TERM_BUDGET`].
-    accums: RwLock<HashMap<Vec<usize>, Arc<GroupAccumulator>>>,
+    accums: RwLock<WordMap<Vec<usize>, Arc<GroupAccumulator>>>,
     accum_terms: AtomicU64,
     /// Prefix-accumulator extensions performed (including ones later evicted
     /// or lost to racing duplicate builds) — the chain-sharing diagnostic the
@@ -178,6 +232,23 @@ struct CacheState {
     series_terms: AtomicU64,
     group_hits: AtomicU64,
     group_misses: AtomicU64,
+}
+
+impl CacheState {
+    /// Empty tables for a platform of `workers` workers.
+    fn new(workers: usize) -> Self {
+        CacheState {
+            singletons: (0..workers).map(|_| OnceLock::new()).collect(),
+            group: RwLock::default(),
+            no_down: RwLock::default(),
+            accums: RwLock::default(),
+            accum_terms: AtomicU64::new(0),
+            accum_built: AtomicU64::new(0),
+            series_terms: AtomicU64::new(0),
+            group_hits: AtomicU64::new(0),
+            group_misses: AtomicU64::new(0),
+        }
+    }
 }
 
 /// A shareable evaluation cache over one scenario's [`PlatformTables`].
@@ -208,7 +279,8 @@ impl EvalCache {
 
     /// Build an empty cache over existing tables.
     pub fn from_tables(tables: Arc<PlatformTables>) -> Self {
-        EvalCache { tables, state: Arc::new(CacheState::default()) }
+        let state = Arc::new(CacheState::new(tables.num_workers()));
+        EvalCache { tables, state }
     }
 
     /// The immutable platform tables the cached quantities derive from.
@@ -248,6 +320,9 @@ impl EvalCache {
 
     /// Lookup/compute for a key known to be sorted and duplicate-free.
     fn group_sorted(&self, key: &[usize]) -> GroupQuantities {
+        if let [q] = *key {
+            return self.singleton(q);
+        }
         if let Some(&g) = self.state.group.read().expect("eval cache poisoned").get(key) {
             self.state.group_hits.fetch_add(1, Ordering::Relaxed);
             return g;
@@ -265,6 +340,22 @@ impl EvalCache {
         };
         self.state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
         self.state.group.write().expect("eval cache poisoned").insert(key.to_vec(), g);
+        g
+    }
+
+    /// Lookup/compute of the singleton set `{q}` through its write-once slot.
+    /// Counted like a map lookup; racing misses compute identical values and
+    /// the first to fill the slot wins.
+    fn singleton(&self, q: usize) -> GroupQuantities {
+        let slot = &self.state.singletons[q];
+        if let Some(&g) = slot.get() {
+            self.state.group_hits.fetch_add(1, Ordering::Relaxed);
+            return g;
+        }
+        self.state.group_misses.fetch_add(1, Ordering::Relaxed);
+        let g = self.tables.compute_group(&[q]);
+        self.state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
+        let _ = slot.set(g);
         g
     }
 
@@ -320,9 +411,11 @@ impl EvalCache {
         p
     }
 
-    /// Number of distinct worker sets currently memoized.
+    /// Number of distinct worker sets currently memoized (filled singleton
+    /// slots included).
     pub fn cached_sets(&self) -> usize {
-        self.state.group.read().expect("eval cache poisoned").len()
+        let singletons = self.state.singletons.iter().filter(|s| s.get().is_some()).count();
+        singletons + self.state.group.read().expect("eval cache poisoned").len()
     }
 
     /// Number of prefix accumulators currently retained (exposed for the
@@ -331,8 +424,7 @@ impl EvalCache {
         self.state.accums.read().expect("eval cache poisoned").len()
     }
 
-    /// Group-lookup hit/miss counters since creation (or the last
-    /// [`EvalCache::clear`]).
+    /// Group-lookup hit/miss counters since creation.
     pub fn stats(&self) -> EvalCacheStats {
         EvalCacheStats {
             group_hits: self.state.group_hits.load(Ordering::Relaxed),
@@ -340,32 +432,19 @@ impl EvalCache {
         }
     }
 
-    /// Total series terms evaluated by group misses since creation (or the
-    /// last [`EvalCache::clear`]) — the series workload behind the misses,
-    /// used by the scaling bench to attribute decision cost.
+    /// Total series terms evaluated by group misses since creation — the
+    /// series workload behind the misses, used by the scaling bench to
+    /// attribute decision cost.
     pub fn series_terms(&self) -> u64 {
         self.state.series_terms.load(Ordering::Relaxed)
     }
 
-    /// Total prefix-accumulator extensions performed since creation (or the
-    /// last [`EvalCache::clear`]), counting evicted and racing duplicate
-    /// builds — see [`EvalCache::cached_accumulators`] for the retained
-    /// count. The gap between `accumulators_built` and the group-miss count
+    /// Total prefix-accumulator extensions performed since creation, counting
+    /// evicted and racing duplicate builds — see
+    /// [`EvalCache::cached_accumulators`] for the retained count. The gap between `accumulators_built` and the group-miss count
     /// measures how poorly the probe sequence shared accumulator chains.
     pub fn accumulators_built(&self) -> u64 {
         self.state.accum_built.load(Ordering::Relaxed)
-    }
-
-    /// Drop all memoized quantities and reset the counters.
-    pub fn clear(&self) {
-        self.state.group.write().expect("eval cache poisoned").clear();
-        self.state.no_down.write().expect("eval cache poisoned").clear();
-        self.state.accums.write().expect("eval cache poisoned").clear();
-        self.state.accum_terms.store(0, Ordering::Relaxed);
-        self.state.accum_built.store(0, Ordering::Relaxed);
-        self.state.series_terms.store(0, Ordering::Relaxed);
-        self.state.group_hits.store(0, Ordering::Relaxed);
-        self.state.group_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -529,11 +608,6 @@ impl Estimator {
     pub fn cached_sets(&self) -> usize {
         self.cache.cached_sets()
     }
-
-    /// Drop all memoized group quantities.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
 }
 
 #[cfg(test)]
@@ -556,8 +630,9 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(est.cached_sets(), 1);
-        est.clear_cache();
-        assert_eq!(est.cached_sets(), 0);
+        let fresh = Estimator::with_default_epsilon(&s.platform, &s.master);
+        assert_eq!(fresh.cached_sets(), 0);
+        assert_eq!(fresh.group(&[3, 0, 7]), a);
     }
 
     #[test]
@@ -575,9 +650,13 @@ mod tests {
         assert_eq!(stats.group_hits, 2);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(cache.cached_sets(), 2);
-        cache.clear();
-        assert_eq!(cache.stats(), EvalCacheStats::default());
-        assert_eq!(cache.cached_sets(), 0);
+        cache.group(&[2]); // hit (singleton slot)
+        cache.group(&[2, 2]); // hit (normalized to the singleton)
+        assert_eq!(cache.stats(), EvalCacheStats { group_hits: 4, group_misses: 2 });
+        assert_eq!(cache.cached_sets(), 2);
+        let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        assert_eq!(fresh.stats(), EvalCacheStats::default());
+        assert_eq!(fresh.cached_sets(), 0);
     }
 
     #[test]
@@ -778,8 +857,8 @@ mod tests {
         assert_eq!(cache.stats().group_misses as usize, sets.len());
         assert_eq!(cache.cached_sets(), sets.len());
         assert!(cache.cached_accumulators() > 0);
-        cache.clear();
-        assert_eq!(cache.cached_accumulators(), 0);
+        let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        assert_eq!(fresh.cached_accumulators(), 0);
     }
 
     #[test]
@@ -852,8 +931,39 @@ mod tests {
         assert!(stats.group_misses >= sets.len() as u64);
         assert_eq!(cache.cached_sets(), sets.len());
         assert!(cache.series_terms() > 0);
-        cache.clear();
-        assert_eq!(cache.series_terms(), 0);
+        let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        assert_eq!(fresh.series_terms(), 0);
+    }
+
+    #[test]
+    fn concurrent_singleton_fills_serve_reference_values() {
+        // Eight threads released together race to fill every singleton slot
+        // of an empty cache: each observed value equals the batch
+        // computation, every lookup is counted once as a hit or a miss, and
+        // each worker's slot is filled exactly once.
+        let s = paper_scenario();
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let tables = PlatformTables::new(&s.platform, &s.master, crate::DEFAULT_EPSILON);
+        let n = s.platform.num_workers();
+        let threads = 8;
+        let reps = 3;
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for offset in 0..threads {
+                let (cache, tables, start) = (cache.clone(), &tables, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..reps * n {
+                        let q = (i + offset) % n;
+                        assert_eq!(cache.group(&[q]), tables.compute_group(&[q]), "worker {q}");
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.lookups(), (threads * reps * n) as u64);
+        assert!(stats.group_misses >= n as u64);
+        assert_eq!(cache.cached_sets(), n);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   as a run-length-encoded sequence of `(start_slot, state)` segments,
 //!   sampling sojourn times directly ([`MarkovChain3::sample_transition`])
 //!   instead of flipping a coin every slot. The realization is fully determined
-//!   by the seed, so simulation runs are reproducible, and both queries cost
-//!   `O(log #segments)` after amortized `O(#transitions)` generation.
+//!   by the seed, so simulation runs are reproducible. A per-processor cursor
+//!   remembers the last segment read, so queries that move forward in time
+//!   (every simulation run does) cost `O(1)`; any other query costs
+//!   `O(log #segments)`, after amortized `O(#transitions)` generation.
 //! * [`ScriptedAvailability`] and [`TraceSet`] — replay explicit, pre-generated
 //!   traces (hand-written scripts for unit tests and the Figure 1 worked
 //!   example; semi-Markov realizations for the sensitivity study). Their
@@ -85,6 +87,10 @@ pub struct MarkovAvailability {
     /// segment's state then persists forever and no more RNG is consumed.
     absorbed: Vec<bool>,
     rngs: Vec<SmallRng>,
+    /// Per-processor index of the segment the last query landed in. Segments
+    /// are only ever appended, so a cursor stays a valid index; it is a hint
+    /// that makes forward-moving queries O(1) and never changes an answer.
+    cursors: Vec<usize>,
 }
 
 impl MarkovAvailability {
@@ -115,7 +121,8 @@ impl MarkovAvailability {
             rngs.push(rng);
         }
         let absorbed = vec![false; chains.len()];
-        MarkovAvailability { chains, segments, absorbed, rngs }
+        let cursors = vec![0; chains.len()];
+        MarkovAvailability { chains, segments, absorbed, rngs, cursors }
     }
 
     /// The chain governing processor `q`.
@@ -167,9 +174,24 @@ impl MarkovAvailability {
     }
 
     /// Index of the segment covering slot `t` (requires the realization to
-    /// already extend past `t`).
-    fn segment_at(&self, q: usize, t: u64) -> usize {
-        self.segments[q].partition_point(|&(start, _)| start <= t) - 1
+    /// already extend past `t`). Tries the cursor's segment and the one after
+    /// it before falling back to a binary search, then moves the cursor there.
+    fn segment_at(&mut self, q: usize, t: u64) -> usize {
+        let segments = &self.segments[q];
+        let covers = |i: usize| {
+            segments.get(i).is_some_and(|&(start, _)| start <= t)
+                && segments.get(i + 1).is_none_or(|&(next, _)| t < next)
+        };
+        let cursor = self.cursors[q];
+        let i = if covers(cursor) {
+            cursor
+        } else if covers(cursor + 1) {
+            cursor + 1
+        } else {
+            segments.partition_point(|&(start, _)| start <= t) - 1
+        };
+        self.cursors[q] = i;
+        i
     }
 }
 
@@ -180,7 +202,8 @@ impl AvailabilityModel for MarkovAvailability {
 
     fn state(&mut self, q: usize, t: u64) -> ProcState {
         self.realize_past(q, t);
-        self.segments[q][self.segment_at(q, t)].1
+        let i = self.segment_at(q, t);
+        self.segments[q][i].1
     }
 
     fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
@@ -456,6 +479,50 @@ mod tests {
         }
         for (when, state) in hops {
             assert_eq!(b.state(0, when), state);
+        }
+    }
+
+    #[test]
+    fn cursor_queries_in_any_order_match_an_ascending_realization() {
+        // The segment cursor is only a hint: backward jumps, repeated slots
+        // and two replays reading forward in turn must see exactly what a
+        // fresh model queried in ascending order sees.
+        const HORIZON: u64 = 3_000;
+        let chains = paper_chains(3, 41);
+        let mut ascending = MarkovAvailability::new(chains.clone(), 13, false);
+        let expected: Vec<Vec<_>> = (0..3)
+            .map(|q| {
+                (0..HORIZON)
+                    .map(|t| (ascending.state(q, t), ascending.next_transition(q, t)))
+                    .collect()
+            })
+            .collect();
+        let mut model = MarkovAvailability::new(chains, 13, false);
+        let mut check = |q: usize, t: u64| {
+            let (state, next) = expected[q][t as usize];
+            assert_eq!(model.state(q, t), state, "state of {q} at {t}");
+            assert_eq!(model.next_transition(q, t), next, "next transition of {q} after {t}");
+        };
+        let mut rng = sub_rng(5, 77);
+        let mut replays = [0u64, 0u64];
+        for step in 0..20_000u64 {
+            let q = rng.gen_range(0..3usize);
+            match step % 4 {
+                // A jump anywhere, usually backwards of the cursor.
+                0 => check(q, rng.gen_range(0..HORIZON)),
+                // The same slot twice.
+                1 => {
+                    let t = rng.gen_range(0..HORIZON);
+                    check(q, t);
+                    check(q, t);
+                }
+                // Two replays moving forward in small steps, interleaved.
+                _ => {
+                    let r = &mut replays[(step % 2) as usize];
+                    *r = (*r + rng.gen_range(0..40u64)) % HORIZON;
+                    check(q, *r);
+                }
+            }
         }
     }
 

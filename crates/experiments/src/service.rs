@@ -64,7 +64,7 @@ use dg_platform::Scenario;
 use dg_sim::view::{Decision, Reevaluation, Scheduler};
 use dg_sim::{Assignment, DecisionContext};
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,6 +89,18 @@ enum Value {
 /// nests five levels (a batch entry's `current` pairs); the limit keeps the
 /// recursive parser from overflowing its stack on hostile input.
 const MAX_NESTING: usize = 32;
+
+/// Longest request line `serve` buffers on platforms of up to 16,384
+/// workers, its newline not counted. A paper-suite batch request is a few
+/// kilobytes; longer lines get an error reply and are skipped without being
+/// held in memory.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Request-line bytes allowed per platform worker, so that larger platforms
+/// (`massive`, `colossal`) can still send a full request: one state code
+/// plus the longest holdings quad
+/// (`[false,18446744073709551615,18446744073709551615,false],`) fit in it.
+const LINE_BYTES_PER_WORKER: usize = 64;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -1030,29 +1042,42 @@ impl ScheduleService {
 
     /// Serve JSONL requests from `reader`, writing replies to `writer`, until
     /// EOF or a closed peer. Never exits on malformed input — a line that is
-    /// not UTF-8 gets an error reply like any other — and flushes after every
-    /// request so pipes and sockets see replies promptly.
+    /// not UTF-8 or longer than the line limit (`MAX_LINE_BYTES`, or
+    /// `LINE_BYTES_PER_WORKER` per platform worker when that is more) gets an
+    /// error reply like any other — and flushes after every request so pipes
+    /// and sockets see replies promptly.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
         mut reader: R,
         writer: &mut W,
     ) -> std::io::Result<ServeSummary> {
+        let workers = self.core.scenario.platform.num_workers();
+        let max_line = MAX_LINE_BYTES.max(LINE_BYTES_PER_WORKER.saturating_mul(workers));
         let mut buf = Vec::new();
         loop {
             buf.clear();
-            if reader.read_until(b'\n', &mut buf)? == 0 {
+            let limit = max_line as u64 + 1;
+            if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
                 break;
             }
-            let replies = match std::str::from_utf8(&buf) {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => {
-                    let line =
-                        line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
-                    self.handle_line(line)
-                }
-                Err(err) => {
-                    self.summary.errors += 1;
-                    vec![error_line(None, &format!("request line is not UTF-8: {err}"))]
+            let replies = if buf.len() > max_line && buf.last() != Some(&b'\n') {
+                reader.skip_until(b'\n')?;
+                self.summary.errors += 1;
+                let message = format!("request line is longer than {max_line} bytes");
+                vec![error_line(None, &message)]
+            } else {
+                match std::str::from_utf8(&buf) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => {
+                        let line = line
+                            .strip_suffix('\n')
+                            .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+                        self.handle_line(line)
+                    }
+                    Err(err) => {
+                        self.summary.errors += 1;
+                        vec![error_line(None, &format!("request line is not UTF-8: {err}"))]
+                    }
                 }
             };
             for reply in replies {
@@ -1327,6 +1352,54 @@ mod tests {
         assert!(lines[2].contains("\"id\":2") && lines[2].contains("\"ok\":true"), "{text}");
         assert_eq!(summary.requests, 2);
         assert_eq!(summary.errors, 1);
+    }
+
+    #[test]
+    fn serve_refuses_an_overlong_line_and_keeps_serving() {
+        let mut service = ScheduleService::new(core());
+        let mut input = vec![b'x'; 4 << 20];
+        input.push(b'\n');
+        input.extend_from_slice(b"{\"heuristic\":\"IE\",\"workers\":\"UUUUUUUU\",\"id\":2}\n");
+        let mut out = Vec::new();
+        let summary = service.serve(std::io::Cursor::new(input), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].contains("\"ok\":false") && lines[0].contains("longer than"), "{text}");
+        assert!(lines[1].contains("\"id\":2") && lines[1].contains("\"ok\":true"), "{text}");
+        assert_eq!(summary.requests, 1);
+        assert_eq!(summary.errors, 1);
+    }
+
+    #[test]
+    fn serve_line_limit_grows_with_the_platform() {
+        // At 20,000 workers a line may hold 64 bytes per worker: a valid
+        // request padded past 1 MiB is answered, one past the scaled limit
+        // is refused.
+        let params = ScenarioParams {
+            num_workers: 20_000,
+            tasks_per_iteration: 5,
+            ncom: 4,
+            wmin: 2,
+            iterations: 10,
+        };
+        let scenario = Scenario::generate(params, 11);
+        let core = Arc::new(ServiceCore::new(scenario, dg_analysis::DEFAULT_EPSILON, 7));
+        let request = |id: u64, padding: usize| {
+            let workers = "D".repeat(20_000);
+            let pad = " ".repeat(padding);
+            format!("{{\"heuristic\":\"IE\",{pad}\"workers\":\"{workers}\",\"id\":{id}}}\n")
+        };
+        let mut input = request(1, (1 << 20) + 1_000).into_bytes();
+        input.extend_from_slice(request(2, 64 * 20_000).as_bytes());
+        let mut out = Vec::new();
+        let summary = ScheduleService::new(core).serve(input.as_slice(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].contains("\"id\":1") && lines[0].contains("\"ok\":true"), "{text}");
+        assert!(lines[1].contains("longer than 1280000 bytes"), "{text}");
+        assert_eq!((summary.requests, summary.errors), (1, 1));
     }
 
     #[test]

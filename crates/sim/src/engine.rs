@@ -494,10 +494,14 @@ impl<A: AvailabilityModel> Simulator<A> {
     ///   crosses the `UP` boundary, changing the candidate pool.
     ///
     /// Everything else (`RECLAIMED`/`DOWN` churn of empty-handed bystanders,
-    /// `UP`-boundary crossings passive schedulers ignore) is skipped. The walk
-    /// is bounded: after `MAX_IRRELEVANT_WALK` skipped transitions the next
-    /// one is returned as a conservative wake-up — a spurious wake executes
-    /// one extra slot and changes nothing.
+    /// `UP`-boundary crossings passive schedulers ignore) is skipped. An
+    /// empty-handed outsider of an installed configuration, under a scheduler
+    /// that ignores outside workers, matches none of the cases above whatever
+    /// its transitions are, so it answers `None` without reading the
+    /// realization. In every other context the walk is bounded: after
+    /// `MAX_IRRELEVANT_WALK` skipped transitions the next one is returned as
+    /// a conservative wake-up — a spurious wake executes one extra slot and
+    /// changes nothing.
     #[allow(clippy::too_many_arguments)]
     fn next_relevant_transition(
         &mut self,
@@ -510,6 +514,9 @@ impl<A: AvailabilityModel> Simulator<A> {
         holds_anything: bool,
     ) -> Option<(u64, ProcState)> {
         const MAX_IRRELEVANT_WALK: u32 = 1024;
+        if !member && !holds_anything && !idle && !outside_matters {
+            return None;
+        }
         let mut from = state_now;
         let mut after = t;
         let mut walked = 0u32;
@@ -1100,6 +1107,89 @@ mod tests {
         );
         assert!(event.skipped_slots() > 0);
         assert_eq!(slot.skipped_slots(), 0);
+    }
+
+    /// Forwards to a model and records, for every `next_transition` call,
+    /// the worker asked about and the slot the engine last read states for.
+    struct CountingAvailability<A> {
+        inner: A,
+        now: u64,
+        calls: std::rc::Rc<std::cell::RefCell<Vec<(usize, u64)>>>,
+    }
+
+    impl<A: AvailabilityModel> AvailabilityModel for CountingAvailability<A> {
+        fn num_procs(&self) -> usize {
+            self.inner.num_procs()
+        }
+
+        fn state(&mut self, q: usize, t: u64) -> ProcState {
+            self.now = t;
+            self.inner.state(q, t)
+        }
+
+        fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
+            self.calls.borrow_mut().push((q, self.now));
+            self.inner.next_transition(q, after)
+        }
+    }
+
+    #[test]
+    fn passive_runs_never_walk_empty_handed_outsiders_under_a_configuration() {
+        // A passive scheduler on a paper scenario enrolls its five most
+        // available workers and keeps the other fifteen out of every
+        // configuration, so those never hold anything. While a configuration
+        // is installed (transferring, computing or suspended), none of their
+        // transitions can matter: the engine must not read their realization
+        // at all, and the run must still equal the slot-stepper's.
+        let scenario = Scenario::generate(dg_platform::ScenarioParams::paper(5, 5, 2), 3);
+        let up = |q: usize| scenario.platform.chains()[q].stationary_distribution()[0];
+        let mut by_availability: Vec<usize> = (0..20).collect();
+        by_availability.sort_by(|&a, &b| up(b).total_cmp(&up(a)));
+        let (members, outsiders) = by_availability.split_at(5);
+        let assignment = Assignment::new(members.iter().map(|&q| (q, 1)));
+        let limits = SimulationLimits::with_max_slots(200_000).unwrap();
+        let calls = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let availability = CountingAvailability {
+            inner: scenario.availability_for_trial(11, false),
+            now: 0,
+            calls: std::rc::Rc::clone(&calls),
+        };
+        let (event_outcome, log) = Simulator::new(&scenario, availability)
+            .with_limits(limits)
+            .with_event_log(true)
+            .run(&mut FixedAssignmentScheduler::new(assignment.clone()));
+        let (slot_outcome, _) =
+            Simulator::new(&scenario, scenario.availability_for_trial(11, false))
+                .with_limits(limits)
+                .with_mode(SimMode::SlotStepped)
+                .run(&mut FixedAssignmentScheduler::new(assignment));
+        assert_eq!(event_outcome, slot_outcome);
+
+        // Whether a configuration is installed at the end of each logged
+        // slot, which is when the engine looks for the next wake-up.
+        let mut installed = std::collections::BTreeMap::new();
+        for e in log.events() {
+            match e.kind {
+                EventKind::ConfigurationSelected { .. } => installed.insert(e.time, true),
+                EventKind::IterationAborted { .. } | EventKind::IterationCompleted { .. } => {
+                    installed.insert(e.time, false)
+                }
+                _ => None,
+            };
+        }
+        let installed_at =
+            |now: u64| installed.range(..=now).next_back().is_some_and(|(_, &on)| on);
+        assert!(log.events().iter().any(|e| matches!(e.kind, EventKind::ComputationSlot { .. })));
+        let calls = calls.borrow();
+        let while_installed =
+            |q: &usize| calls.iter().any(|&(w, now)| w == *q && installed_at(now));
+        assert!(members.iter().any(while_installed), "members are walked while installed");
+        let walked: Vec<usize> = outsiders.iter().copied().filter(while_installed).collect();
+        assert!(walked.is_empty(), "outsiders {walked:?} were walked under a configuration");
+        assert!(
+            calls.iter().any(|(q, _)| outsiders.contains(q)),
+            "outsiders are walked while idle"
+        );
     }
 
     #[test]
